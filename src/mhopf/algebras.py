@@ -439,14 +439,15 @@ class Corner:
                     raise StructuralError("corner projector is not central")
         self.ambient = ambient
         self.idem = idem
-        images = [
-            (tok, ambient.mul(idem, FinVec.basis(tok))) for tok in ambient.basis
-        ]
-        kept = spans.independent_subset(images)
-        self.reps = tuple(tok for tok, _ in kept)
-        self._embed = {tok: vec for tok, vec in kept}
-        basis_vecs = [self._embed[t] for t in self.reps]
-        self._basis_vecs = basis_vecs
+        # one Span over the f-images of the whole ambient basis: the scan
+        # that picks the corner basis also factors it for `project`
+        self._span = spans.Span()
+        self._embed = {}
+        for tok in ambient.basis:
+            vec = ambient.mul(idem, FinVec.basis(tok))
+            if self._span.add(vec):
+                self._embed[tok] = vec
+        self.reps = tuple(self._embed)
 
         corner = self
 
@@ -471,10 +472,10 @@ class Corner:
     def project(self, vec: FinVec) -> FinVec:
         """Ambient element -> corner coordinates of f*vec."""
         target = self.ambient.mul(self.idem, vec)
-        coeffs = spans.in_span(target, self._basis_vecs)
+        coeffs = self._span.coords(target)
         if coeffs is None:
             raise StructuralError("projected element escaped the corner span")
-        return FinVec(zip(self.reps, coeffs))
+        return FinVec(zip(self.ambient.basis, coeffs))
 
 
 def subgroup_average_idempotent(group_alg: Algebra, subgroup) -> FinVec:

@@ -26,7 +26,7 @@ from .algebras import Algebra, group_algebra_plain, pointwise_algebra
 from .errors import CapabilityError, StructuralError
 from .groups import GroupSpec
 from .reports import CheckResult
-from .vectors import FinVec
+from .vectors import FinVec, token_key
 
 PairRule = Callable[[object, object], FinVec]
 
@@ -219,14 +219,12 @@ def mha_from_delta(
     pair_tokens = [(a, b) for a in basis for b in basis]
 
     def invert_map(rule: PairRule, label: str) -> PairRule:
-        images = {p: rule(*p) for p in pair_tokens}
-        kernel = spans.kernel_of_map(pair_tokens, lambda p: images[p])
-        if kernel:
+        span = spans.Span(rule(*p) for p in pair_tokens)
+        if span.rank < len(pair_tokens):
             raise StructuralError(f"coverage map {label} is not injective")
-        image_list = [images[p] for p in pair_tokens]
         table = {}
         for target in pair_tokens:
-            coeffs = spans.in_span(FinVec.basis(target), image_list)
+            coeffs = span.coords(FinVec.basis(target))
             if coeffs is None:
                 raise StructuralError(f"coverage map {label} is not surjective")
             table[target] = FinVec(zip(pair_tokens, coeffs))
@@ -433,11 +431,14 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
     """Bijectivity of the flipped coverage maps on the window span plus
     S o S^{-1} = id = S^{-1} o S on the window.
 
-    Injectivity is exact on the window span.  Surjectivity searches for
-    preimages over a product-enlarged window; an unhit target is a genuine
-    failure only when the window exhausts a finite basis, otherwise the
-    verdict is inconclusive (the preimage may live outside any finite
-    window).
+    Each flipped coverage is factored once as a `spans.Span` of its images
+    of the window pairs, taken in `token_key` order; its recorded
+    dependencies are the kernel witnesses, so injectivity is exact on the
+    window span.  When the window exhausts a finite basis, the same Span
+    decides surjectivity, and an unhit window pair is a genuine failure.
+    Otherwise surjectivity is decided against one Span of the images of a
+    product-enlarged window, and an unhit target makes the verdict
+    inconclusive (its preimage may live outside any finite window).
     """
     if not instance.is_regular():
         return CheckResult.failed(
@@ -460,16 +461,18 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
                         seen.add(p)
                         sources.append(p)
     pair_tokens = [(a, b) for a in window for b in window]
+    sorted_pairs = sorted(pair_tokens, key=token_key)
     source_pairs = [(a, b) for a in sources for b in sources]
     witnesses = []
     unresolved = []
     for label, rule in (("flip_r", instance.delta_r_flip), ("flip_l", instance.delta_l_flip)):
-        kernel = spans.kernel_of_map(pair_tokens, lambda p: rule(*p))
-        for v in kernel[:2]:
+        span = spans.Span(rule(*p) for p in sorted_pairs)
+        for v in span.kernel(sorted_pairs)[:2]:
             witnesses.append({"map": label, "kernel": v})
-        images = [rule(*p) for p in source_pairs]
+        if not exhaustive:
+            span = spans.Span(rule(*p) for p in source_pairs)
         for target in pair_tokens:
-            if spans.in_span(FinVec.basis(target), images) is None:
+            if not span.contains(FinVec.basis(target)):
                 if exhaustive:
                     witnesses.append({"map": label, "not_hit": target})
                 else:

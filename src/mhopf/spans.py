@@ -1,4 +1,12 @@
-"""Span and kernel computations on finitely supported vectors."""
+"""Span and kernel computations on finitely supported vectors.
+
+`Span` factors a list of vectors once, as a sparse reduced echelon form
+kept on the vectors' own tokens, and then answers membership, coordinates,
+rank and kernel by reduction against its rows.  Use it wherever one span
+is queried many times.  The one-shot helpers below (`span_basis`,
+`in_span`, `kernel_of_map`) lay the vectors out as a dense matrix and run
+one `linalg` elimination per call.
+"""
 
 from __future__ import annotations
 
@@ -51,9 +59,9 @@ def in_span(target: FinVec, vecs: Sequence[FinVec]):
 
 def subspace_le(sub: Sequence[FinVec], sup: Sequence[FinVec]):
     """None when span(sub) <= span(sup); otherwise a witness vector outside."""
-    sup = list(sup)
+    span = Span(sup)
     for v in sub:
-        if v and in_span(v, sup) is None:
+        if v and not span.contains(v):
             return v
     return None
 
@@ -72,12 +80,95 @@ def kernel_of_map(domain_tokens, image: Callable[[object], FinVec]):
     return [FinVec(zip(domain_tokens, c)) for c in coeff_vecs]
 
 
-def independent_subset(items):
-    """Greedy maximal independent sublist of (key, vector) pairs."""
-    kept = []
-    basis = []
-    for key, vec in items:
-        if vec and in_span(vec, basis) is None:
-            kept.append((key, vec))
-            basis.append(vec)
-    return kept
+def _axpy(acc: dict, coeff, src: dict):
+    """acc -= coeff * src in place, dropping entries that cancel."""
+    for key, val in src.items():
+        new = acc.get(key, 0) - coeff * val
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+
+class Span:
+    """Sparse reduced echelon form of the span of the vectors added so far.
+
+    Vectors are numbered in the order of `add`.  Each echelon row has
+    coefficient 1 at its pivot token and 0 at every other pivot, and keeps
+    the combination of added vectors it equals.  An added vector is
+    independent exactly when it is not in the span of the earlier ones, so
+    the rows are spanned by the greedy-first independent vectors; every
+    dependent vector is recorded as one kernel relation.
+    """
+
+    __slots__ = ("_rows", "_deps", "_count")
+
+    def __init__(self, vecs: Iterable[FinVec] = ()):
+        self._rows = {}  # pivot token -> (row, combination)
+        self._deps = []
+        self._count = 0
+        for vec in vecs:
+            self.add(vec)
+
+    def _reduce(self, vec: FinVec):
+        """Residual of vec against the rows, and the (multiplier, row) pairs
+        subtracted.  Rows are zero at each other's pivots, so each
+        multiplier is vec's own coefficient at that pivot.  The coefficient
+        dict is read directly: no result depends on its order, and
+        `items()` would sort it on every call."""
+        used = [(c, self._rows[t]) for t, c in vec._c.items() if t in self._rows]
+        res = dict(vec._c)
+        for c, (row, _) in used:
+            _axpy(res, c, row)
+        return res, used
+
+    def add(self, vec: FinVec) -> bool:
+        """Append vec; True when it is independent of the earlier vectors."""
+        res, used = self._reduce(vec)
+        combo = {self._count: Fraction(1)}
+        self._count += 1
+        for c, (_, row_combo) in used:
+            _axpy(combo, c, row_combo)
+        if not res:
+            self._deps.append(combo)
+            return False
+        pivot = next(iter(res))
+        inv = 1 / res[pivot]
+        row = {t: c * inv for t, c in res.items()}
+        combo = {i: c * inv for i, c in combo.items()}
+        for other, other_combo in self._rows.values():
+            c = other.get(pivot)
+            if c:
+                _axpy(other, c, row)
+                _axpy(other_combo, c, combo)
+        self._rows[pivot] = (row, combo)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def contains(self, vec: FinVec) -> bool:
+        return not self._reduce(vec)[0]
+
+    def coords(self, vec: FinVec):
+        """Coefficients over the added vectors summing to vec, or None.
+
+        Dependent vectors get 0, which is the particular solution `in_span`
+        returns for the same list."""
+        res, used = self._reduce(vec)
+        if res:
+            return None
+        out = [Fraction(0)] * self._count
+        for c, (_, combo) in used:
+            for i, x in combo.items():
+                out[i] += c * x
+        return out
+
+    def kernel(self, domain: Sequence) -> list[FinVec]:
+        """One relation per dependent vector, with domain[i] naming the
+        i-th added vector; for vectors added in `token_key` order of their
+        domain tokens this is the basis `kernel_of_map` returns."""
+        return [
+            FinVec((domain[i], dep[i]) for i in sorted(dep)) for dep in self._deps
+        ]

@@ -5,15 +5,22 @@ function tables on G x G; the group-algebra rules by multiplying out in
 the tensor square algebra.  Neither oracle touches the closed forms.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from mhopf.algebras import group_algebra_plain, pointwise_algebra, tensor_square_algebra
+from mhopf.algebras import (
+    group_algebra_plain,
+    pointwise_algebra,
+    struct_const_algebra,
+    tensor_square_algebra,
+)
 from mhopf.errors import StructuralError
 from mhopf.groups import parse_group
 from mhopf.mha import (
     check_mha_axioms,
+    check_regular,
     instance_for,
     mha_from_delta,
     mutate_instance,
@@ -239,3 +246,89 @@ class TestGenericFallback:
                 lambda g: F(1),
                 lambda g: FinVec.basis(g),
             )
+
+    def test_materialized_S3_matches_closed_forms(self, S3, AG_S3):
+        # non-abelian: the coverage inverses are non-identity permutations
+        # of the pair tokens, read off one factored Span per coverage
+        def delta(g):
+            return FinVec(
+                ((u, v), 1) for u in S3.elements for v in S3.elements if S3.mul(u, v) == g
+            )
+
+        generic = mha_from_delta(
+            pointwise_algebra(S3),
+            delta,
+            lambda g: F(int(g == S3.identity)),
+            lambda g: FinVec.basis(S3.inv(g)),
+        )
+        for a in S3.elements:
+            for b in S3.elements:
+                for rule in ("delta_r", "delta_l", "t1_inv", "t2_inv", "delta_r_flip",
+                             "delta_l_flip", "cov_iS"):
+                    assert getattr(generic, rule)(a, b) == getattr(AG_S3, rule)(a, b), rule
+        assert generic.t1_inv((0, 1, 2), (1, 2, 0)) == FinVec.basis(((1, 2, 0), (1, 2, 0)))
+        assert generic.t2_inv((1, 0, 2), (1, 2, 0)) == FinVec.basis(((1, 0, 2), (0, 2, 1)))
+        for res in check_mha_axioms(generic):
+            assert res.outcome == "pass", res.name
+
+    def test_inverse_table_in_a_non_monomial_basis(self):
+        # functions on C2 in the basis e = delta_0, u = delta_0 + delta_1:
+        # Delta(e) = e(x)e + (u-e)(x)(u-e), so T1 and T2 are not monomial
+        B = FinVec.basis
+        A = struct_const_algebra(
+            "fun_C2_eu",
+            ("e", "u"),
+            {("e", "e"): B("e"), ("e", "u"): B("e"), ("u", "e"): B("e"), ("u", "u"): B("u")},
+            one=B("u"),
+        )
+        deltas = {
+            "e": FinVec({("e", "e"): 2, ("e", "u"): -1, ("u", "e"): -1, ("u", "u"): 1}),
+            "u": B(("u", "u")),
+        }
+        generic = mha_from_delta(A, deltas.__getitem__, lambda t: F(1), B)
+        mixed = deltas["e"]
+        assert generic.t1_inv("e", "u") == mixed
+        assert generic.t2_inv("u", "e") == mixed
+        assert generic.t1_inv("u", "e") == B(("u", "e"))
+        assert generic.t2_inv("e", "u") == B(("e", "u"))
+        for res in check_mha_axioms(generic):
+            assert res.outcome == "pass", res.name
+
+
+class TestRegularOnPartialWindows:
+    """check_regular on a window that does not exhaust a finite group:
+    preimages are sought among the images of the product-enlarged window."""
+
+    def test_function_algebra_passes(self, AG_S3):
+        res = check_regular(AG_S3, 3)
+        assert res.outcome == "pass"
+        assert res.details == {"window": 3}
+
+    def test_unhit_targets_are_inconclusive(self):
+        kC4 = instance_for("kG", parse_group("cyclic:4"))
+        res = check_regular(kC4, 2)
+        assert res.outcome == "inconclusive"
+        assert res.witnesses == []
+        assert res.details == {
+            "reason": [
+                {"map": "flip_r", "not_hit": (0, 1)},
+                {"map": "flip_l", "not_hit": (1, 0)},
+            ]
+        }
+
+    def test_subgroup_window_passes(self):
+        kC6 = instance_for("kG", parse_group("cyclic:6"))
+        assert check_regular(kC6, (0, 2, 4)).outcome == "pass"
+
+    def test_kernel_witnesses_on_a_partial_window(self, kG_S3):
+        # the swap-symmetrised flip identifies (a,b) with (b,a)
+        bad = dataclasses.replace(
+            kG_S3, delta_r_flip=lambda a, b: FinVec.basis((a, b)) + FinVec.basis((b, a))
+        )
+        res = check_regular(bad, 3)
+        assert res.outcome == "fail"
+        e, t, s = (0, 1, 2), (0, 2, 1), (1, 0, 2)
+        assert res.witnesses == [
+            {"map": "flip_r", "kernel": FinVec({(e, t): -1, (t, e): 1})},
+            {"map": "flip_r", "kernel": FinVec({(e, s): -1, (s, e): 1})},
+        ]

@@ -1,0 +1,127 @@
+"""The factored `spans.Span` against the one-shot dense helpers.
+
+Every query of a Span must give exactly what a fresh `linalg` elimination
+gives for the same list: the same particular solution, rank and kernel
+basis, and the same greedy choice of independent vectors.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mhopf import spans
+from mhopf.vectors import FinVec, token_key, vec_sum
+
+F = Fraction
+
+tokens = st.sampled_from([0, 1, 2, 3, "a", (0, 1)])
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+vectors = st.dictionaries(tokens, coeffs, max_size=4).map(FinVec)
+
+
+def combination(draw, vecs, max_terms):
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, len(vecs) - 1), coeffs), min_size=1, max_size=max_terms)
+    )
+    return vec_sum(vecs[i].scale(c) for i, c in picks)
+
+
+@st.composite
+def vec_lists(draw):
+    """Random vectors (zero ones included) with random combinations of
+    earlier ones inserted, so that most lists have dependent members."""
+    vecs = draw(st.lists(vectors, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        vecs.insert(draw(st.integers(0, len(vecs))), combination(draw, vecs, 3))
+    return vecs
+
+
+@st.composite
+def lists_and_targets(draw):
+    vecs = draw(vec_lists())
+    target = combination(draw, vecs, 4) if draw(st.booleans()) else draw(vectors)
+    return vecs, target
+
+
+def greedy_reference(items):
+    """The greedy independence scan by one dense solve per item."""
+    kept, basis = [], []
+    for key, vec in items:
+        if vec and spans.in_span(vec, basis) is None:
+            kept.append((key, vec))
+            basis.append(vec)
+    return kept
+
+
+SETTINGS = settings(deadline=None, derandomize=True, max_examples=100)
+
+
+@SETTINGS
+@given(lists_and_targets())
+def test_coords_equal_in_span(case):
+    vecs, target = case
+    assert spans.Span(vecs).coords(target) == spans.in_span(target, vecs)
+
+
+@SETTINGS
+@given(lists_and_targets())
+def test_contains_iff_coords(case):
+    vecs, target = case
+    span = spans.Span(vecs)
+    assert span.contains(target) == (span.coords(target) is not None)
+
+
+@SETTINGS
+@given(vec_lists())
+def test_rank_equals_span_dim(vecs):
+    assert spans.Span(vecs).rank == spans.span_dim(vecs)
+
+
+@SETTINGS
+@given(vec_lists(), st.randoms(use_true_random=False))
+def test_kernel_equals_kernel_of_map(vecs, rnd):
+    labels = [("v", i) if i % 2 else i for i in range(len(vecs))]
+    rnd.shuffle(labels)
+    image = dict(zip(labels, vecs))
+    domain = sorted(labels, key=token_key)
+    span = spans.Span(image[t] for t in domain)
+    assert span.kernel(domain) == spans.kernel_of_map(labels, image.__getitem__)
+
+
+@SETTINGS
+@given(vec_lists())
+def test_greedy_add_keeps_the_greedy_independent_items(vecs):
+    items = list(enumerate(vecs))
+    span = spans.Span()
+    kept = [(key, vec) for key, vec in items if span.add(vec)]
+    assert kept == greedy_reference(items)
+
+
+def test_empty_span():
+    span = spans.Span()
+    assert span.rank == 0
+    assert span.coords(FinVec()) == []
+    assert span.coords(FinVec.basis(0)) is None
+    assert span.kernel([]) == []
+
+
+def test_coords_and_kernel_by_hand():
+    u, v = FinVec({0: 1, 1: 1}), FinVec({0: 1, 1: -1})
+    w = FinVec({0: 3, 1: 1})  # = 2u + v
+    span = spans.Span([u, FinVec(), v, w])
+    assert span.rank == 2
+    assert span.coords(FinVec.basis(0)) == [F(1, 2), F(0), F(1, 2), F(0)]
+    assert span.coords(u) == [F(1), F(0), F(0), F(0)]
+    assert span.coords(FinVec.basis(2)) is None
+    assert span.kernel(["p", "z", "v", "w"]) == [
+        FinVec.basis("z"),
+        FinVec({"p": -2, "v": -1, "w": 1}),
+    ]
+
+
+def test_subspace_le_names_the_first_vector_outside():
+    sup = [FinVec({0: 1, 1: 1}), FinVec.basis(2)]
+    assert spans.subspace_le([FinVec({0: 2, 1: 2, 2: 5})], sup) is None
+    outside = FinVec.basis(1)
+    assert spans.subspace_le([FinVec(), FinVec.basis(2), outside], sup) == outside
