@@ -21,7 +21,7 @@ from . import spans
 from .errors import CapabilityError, NoLocalUnitError, StructuralError, WindowError
 from .groups import GroupSpec
 from .reports import CheckResult, ResultSink
-from .vectors import FinVec, LinearMapTable, token_key
+from .vectors import FinVec, LinearMapTable, bilinear, lincomb, tensor, token_key
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,7 @@ class Algebra:
     group: Optional[GroupSpec] = None
 
     def mul(self, x: FinVec, y: FinVec) -> FinVec:
-        out = FinVec()
-        for i, ci in x.items():
-            for j, cj in y.items():
-                out = out + self.mul_basis(i, j).scale(ci * cj)
-        return out
+        return bilinear(self.mul_basis)(x, y)
 
     def is_finite(self) -> bool:
         return self.basis is not None
@@ -128,19 +124,11 @@ def tensor_square_algebra(left: Algebra, right: Algebra, right_window=None) -> A
 
     def mul_basis(p, q):
         (i, j), (k, l) = p, q
-        out = FinVec()
-        for a, ca in left.mul_basis(i, k).items():
-            for b, cb in right.mul_basis(j, l).items():
-                out = out + FinVec.basis((a, b), ca * cb)
-        return out
+        return tensor(left.mul_basis(i, k), right.mul_basis(j, l))
 
     one = None
     if left.one is not None and right.one is not None:
-        one = FinVec(
-            ((i, j), ci * cj)
-            for i, ci in left.one.items()
-            for j, cj in right.one.items()
-        )
+        one = tensor(left.one, right.one)
     return Algebra(
         name=f"tensor({left.name},{right.name})",
         mul_basis=mul_basis,
@@ -206,10 +194,7 @@ def local_unit(algebra: Algebra, elems, window=None) -> FinVec:
     if not elems:
         return FinVec()
     if algebra.pointwise:
-        toks = set()
-        for x in elems:
-            toks.update(x.support())
-        return FinVec((t, 1) for t in toks)
+        return FinVec((t, 1) for t in spans.collect_tokens(elems))
     if algebra.one is not None:
         return algebra.one
     window = algebra.basis_window(window)
@@ -250,20 +235,16 @@ def check_nondegenerate(algebra: Algebra, window=None) -> CheckResult:
     window = algebra.basis_window(window)
 
     def right_images(tok):
-        x = FinVec.basis(tok)
-        out = FinVec()
-        for b in window:
-            prod = algebra.mul(x, FinVec.basis(b))
-            out = out + prod.map_tokens(lambda t, b=b: (b, t))
-        return out
+        return lincomb(
+            (algebra.mul_basis(tok, b).map_tokens(lambda t, b=b: (b, t)), 1)
+            for b in window
+        )
 
     def left_images(tok):
-        x = FinVec.basis(tok)
-        out = FinVec()
-        for b in window:
-            prod = algebra.mul(FinVec.basis(b), x)
-            out = out + prod.map_tokens(lambda t, b=b: (b, t))
-        return out
+        return lincomb(
+            (algebra.mul_basis(b, tok).map_tokens(lambda t, b=b: (b, t)), 1)
+            for b in window
+        )
 
     left_kernel = spans.kernel_of_map(window, right_images)
     right_kernel = spans.kernel_of_map(window, left_images)
@@ -464,10 +445,7 @@ class Corner:
 
     def embed(self, vec: FinVec) -> FinVec:
         """Corner coordinates -> ambient element."""
-        out = FinVec()
-        for tok, coeff in vec.items():
-            out = out + self._embed[tok].scale(coeff)
-        return out
+        return lincomb((self._embed[tok], coeff) for tok, coeff in vec.items())
 
     def project(self, vec: FinVec) -> FinVec:
         """Ambient element -> corner coordinates of f*vec."""

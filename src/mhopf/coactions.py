@@ -40,9 +40,9 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import spans
 from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_check, tensor_square_algebra
 from .errors import CapabilityError, StructuralError, WindowError
-from .mha import MhaInstance, rule_vec
+from .mha import MhaInstance
 from .reports import CheckResult
-from .vectors import FinVec, tensor
+from .vectors import FinVec, bilinear, lincomb, linear, tensor, tensor_map
 
 PairRule = Callable[[object, object], FinVec]
 
@@ -79,14 +79,7 @@ class PartialCoactionData:
         return self.target.basis
 
     def rho_r_vec(self, x: FinVec, a: FinVec) -> FinVec:
-        return rule_vec(self.rho_r, x, a)
-
-    def rho_l_vec(self, a: FinVec, x: FinVec) -> FinVec:
-        out = FinVec()
-        for ta, ca in a.items():
-            for tx, cx in x.items():
-                out = out + self.rho_l(ta, tx).scale(ca * cx)
-        return out
+        return bilinear(self.rho_r)(x, a)
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,7 @@ class GlobalComodule:
     aux: Mapping = field(default_factory=dict, compare=False)
 
     def rho_r_vec(self, x: FinVec, a: FinVec) -> FinVec:
-        return rule_vec(self.rho_r, x, a)
+        return bilinear(self.rho_r)(x, a)
 
 
 def tensor_comodule(target: Algebra, instance: MhaInstance, a_window=None) -> GlobalComodule:
@@ -115,17 +108,11 @@ def tensor_comodule(target: Algebra, instance: MhaInstance, a_window=None) -> Gl
 
     def rho_r(pair, a):
         l, u = pair
-        out = FinVec()
-        for (u1, u2), c in instance.delta_r(u, a).items():
-            out = out + FinVec.basis(((l, u1), u2), c)
-        return out
+        return instance.delta_r(u, a).map_tokens(lambda p: ((l, p[0]), p[1]))
 
     def rho_l(a, pair):
         l, u = pair
-        out = FinVec()
-        for (u1, u2), c in instance.delta_l(a, u).items():
-            out = out + FinVec.basis(((l, u1), u2), c)
-        return out
+        return instance.delta_l(a, u).map_tokens(lambda p: ((l, p[0]), p[1]))
 
     return GlobalComodule(
         name=f"tensor-comodule:{target.name}",
@@ -150,20 +137,12 @@ def regular_comodule(instance: MhaInstance) -> GlobalComodule:
 def _second_slot_lmul(C: PartialCoactionData, a: FinVec, v: FinVec) -> FinVec:
     # (1 (x) a) v on concrete pair vectors
     A = C.instance.algebra
-    out = FinVec()
-    for (l, u), c in v.items():
-        for u2, c2 in A.mul(a, FinVec.basis(u)).items():
-            out = out + FinVec.basis((l, u2), c * c2)
-    return out
+    return tensor_map(FinVec.basis, lambda u: A.mul(a, FinVec.basis(u)))(v)
 
 
 def _second_slot_rmul(C: PartialCoactionData, v: FinVec, a: FinVec) -> FinVec:
     A = C.instance.algebra
-    out = FinVec()
-    for (l, u), c in v.items():
-        for u2, c2 in A.mul(FinVec.basis(u), a).items():
-            out = out + FinVec.basis((l, u2), c * c2)
-    return out
+    return tensor_map(FinVec.basis, lambda u: A.mul(FinVec.basis(u), a))(v)
 
 
 def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window=None, name=None) -> PartialCoactionData:
@@ -176,37 +155,20 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window
     A = instance.algebra
 
     def rho_r(x, a):
-        out = FinVec()
-        for u, c in A.mul(e, FinVec.basis(a)).items():
-            out = out + FinVec.basis((x, u), c)
-        return out
+        return tensor(FinVec.basis(x), A.mul(e, FinVec.basis(a)))
 
     def rho_l(a, x):
-        out = FinVec()
-        for u, c in A.mul(FinVec.basis(a), e).items():
-            out = out + FinVec.basis((x, u), c)
-        return out
+        return tensor(FinVec.basis(x), A.mul(FinVec.basis(a), e))
 
     if target.basis is None:
         raise CapabilityError("trivial coaction needs a finite coacted algebra")
     ambient = tensor_square_algebra(target, A, window)
     pair_window = tuple((l, u) for l in target.basis for u in window)
 
-    def e_left(pair):
-        l, u = pair
-        out = FinVec()
-        for u2, c in A.mul(e, FinVec.basis(u)).items():
-            out = out + FinVec.basis((l, u2), c)
-        return out
-
-    def e_right(pair):
-        l, u = pair
-        out = FinVec()
-        for u2, c in A.mul(FinVec.basis(u), e).items():
-            out = out + FinVec.basis((l, u2), c)
-        return out
-
-    E = Multiplier.from_rules(ambient, e_left, e_right, pair_window)
+    # E = 1 (x) e multiplies a pair (l, u) exactly as rho covers l by u
+    E = Multiplier.from_rules(
+        ambient, lambda p: rho_r(*p), lambda p: rho_l(p[1], p[0]), pair_window
+    )
     return PartialCoactionData(
         name=name or f"trivial:{target.name}|{instance.name}",
         target=target,
@@ -252,35 +214,29 @@ def mutate_coaction(C: PartialCoactionData, kind: str) -> PartialCoactionData:
 def _coassoc_sides(C: PartialCoactionData, x, a, b, use_e=True):
     """Both sides of the right-covered coassociativity law at (x, a, b)."""
     inst = C.instance
-    lhs = FinVec()
-    for (l, t), c in C.rho_r(x, b).items():
-        for (l2, t2), c2 in C.rho_r(l, a).items():
-            lhs = lhs + FinVec.basis(((l2, t2), t), c * c2)
-    rhs = FinVec()
-    for (ai, bi), ci in inst.t1_inv(a, b).items():
-        for (l, t), c in C.rho_r(x, ai).items():
-            for (u, w), cd in inst.delta_r(t, bi).items():
-                ev = FinVec.basis((l, u))
-                if use_e:
-                    ev = C.E.apply_left(ev)
-                for pair, ce in ev.items():
-                    rhs = rhs + FinVec.basis((pair, w), ci * c * cd * ce)
+    lhs = tensor_map(lambda l: C.rho_r(l, a), FinVec.basis)(C.rho_r(x, b))
+    # tokens ((l, t), b_i), then ((l, u), w) with u (x) w = Delta(t)(1 (x) b_i)
+    covered = tensor_map(lambda ai: C.rho_r(x, ai), FinVec.basis)(inst.t1_inv(a, b))
+    rhs = linear(
+        lambda p: inst.delta_r(p[0][1], p[1]).map_tokens(lambda uw: ((p[0][0], uw[0]), uw[1]))
+    )(covered)
+    if use_e:
+        rhs = tensor_map(lambda lu: C.E.apply_left(FinVec.basis(lu)), FinVec.basis)(rhs)
     return lhs, rhs
 
 
 def _coassoc_sym_sides(C: PartialCoactionData, x, a, b):
     """Both sides of the left-covered symmetric law at (x, a, b)."""
     inst = C.instance
-    lhs = FinVec()
-    for (l, t), c in C.rho_l(b, x).items():
-        for (l2, t2), c2 in C.rho_l(a, l).items():
-            lhs = lhs + FinVec.basis(((l2, t2), t), c * c2)
-    rhs = FinVec()
-    for (aj, bj), cj in inst.t2_inv(a, b).items():
-        for (l, t), c in C.rho_l(bj, x).items():
-            for (u, w), cd in inst.delta_l(aj, t).items():
-                for pair, ce in C.E.apply_right(FinVec.basis((l, u))).items():
-                    rhs = rhs + FinVec.basis((pair, w), cj * c * cd * ce)
+    lhs = tensor_map(lambda l: C.rho_l(a, l), FinVec.basis)(C.rho_l(b, x))
+    # tokens ((l, t), a_j), then ((l, u), w) with u (x) w = (a_j (x) 1)Delta(t)
+    covered = linear(
+        lambda ab: C.rho_l(ab[1], x).map_tokens(lambda lt: (lt, ab[0]))
+    )(inst.t2_inv(a, b))
+    rhs = linear(
+        lambda p: inst.delta_l(p[1], p[0][1]).map_tokens(lambda uw: ((p[0][0], uw[0]), uw[1]))
+    )(covered)
+    rhs = tensor_map(lambda lu: C.E.apply_right(FinVec.basis(lu)), FinVec.basis)(rhs)
     return lhs, rhs
 
 
@@ -293,11 +249,9 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     results = []
 
     def stacked(x):
-        out = FinVec()
-        for a in win:
-            for pair, c in C.rho_r(x, a).items():
-                out = out + FinVec.basis((pair, a), c)
-        return out
+        return lincomb(
+            (C.rho_r(x, a).map_tokens(lambda pair, a=a: (pair, a)), 1) for a in win
+        )
 
     kern = spans.kernel_of_map(lbasis, stacked)
     if kern:
@@ -316,14 +270,10 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
             base_r = C.E.apply_right(FinVec.basis((l, a)))
             for b in win:
                 bv = FinVec.basis(b)
-                lhs = FinVec()
-                for u, cu in A.mul(FinVec.basis(a), bv).items():
-                    lhs = lhs + C.E.apply_left(FinVec.basis((l, u))).scale(cu)
+                lhs = linear(lambda u: C.E.apply_left(FinVec.basis((l, u))))(A.mul_basis(a, b))
                 if lhs != _second_slot_rmul(C, base_l, bv):
                     witnesses.append({"law": "E(l (x) ab) = E(l (x) a)(1 (x) b)", "triple": (l, a, b)})
-                rhs = FinVec()
-                for u, cu in A.mul(bv, FinVec.basis(a)).items():
-                    rhs = rhs + C.E.apply_right(FinVec.basis((l, u))).scale(cu)
+                rhs = linear(lambda u: C.E.apply_right(FinVec.basis((l, u))))(A.mul_basis(b, a))
                 if rhs != _second_slot_lmul(C, bv, base_r):
                     witnesses.append({"law": "(l (x) ba)E = (1 (x) b)((l (x) a)E)", "triple": (l, a, b)})
     if witnesses:
@@ -338,11 +288,12 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
             prod = L.mul(xv, FinVec.basis(y))
             for a in win:
                 direct = C.rho_r_vec(prod, FinVec.basis(a))
-                composed = FinVec()
-                for (l, t), c in C.rho_r(y, a).items():
-                    for (l2, t2), c2 in C.rho_r(x, t).items():
-                        for l3, c3 in L.mul(FinVec.basis(l2), FinVec.basis(l)).items():
-                            composed = composed + FinVec.basis((l3, t2), c * c2 * c3)
+                # x0 y0 (x) x1 y1 a, covering x by the second slot of rho(y)(1 (x) a)
+                composed = linear(
+                    lambda lt: tensor_map(lambda l2: L.mul_basis(l2, lt[0]), FinVec.basis)(
+                        C.rho_r(x, lt[1])
+                    )
+                )(C.rho_r(y, a))
                 if direct != composed:
                     hom_wit.append({"pair": (x, y), "cover": a})
     if hom_wit:
@@ -388,9 +339,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     inst = C.instance
     for x in lbasis:
         for a in win:
-            rec = FinVec()
-            for (l, t), c in C.rho_r(x, a).items():
-                rec = rec + FinVec.basis(l, c * inst.counit(t))
+            rec = linear(lambda lt: FinVec.basis(lt[0], inst.counit(lt[1])))(C.rho_r(x, a))
             if rec != FinVec.basis(x, inst.counit(a)):
                 counit_wit.append({"pair": (x, a)})
     if counit_wit:
@@ -470,7 +419,7 @@ def check_quasi_counitary(instance: MhaInstance, e: FinVec, window=None):
         results.append(CheckResult.failed("idempotent", [{"element": str(e)}]))
     else:
         results.append(CheckResult.passed("idempotent"))
-    lhs = rule_vec(instance.delta_r_flip, e, e)
+    lhs = bilinear(instance.delta_r_flip)(e, e)
     if lhs != tensor(e, e):
         results.append(CheckResult.failed("covered_identity", [{"law": "Delta(e)(e (x) 1) = e (x) e"}]))
     else:
@@ -499,15 +448,15 @@ class DualFunctional:
     def normalized(self, instance: MhaInstance) -> "DualFunctional":
         if not instance.algebra.pointwise:
             raise CapabilityError("sandwich normalization needs a pointwise instance")
-        tab = FinVec()
-        for t, c in self.table.items():
-            scale = c
+
+        def weight(t, c):
             if self.left is not None:
-                scale = scale * self.left[t]
+                c = c * self.left[t]
             if self.right is not None:
-                scale = scale * self.right[t]
-            tab = tab + FinVec.basis(t, scale)
-        return DualFunctional(table=tab)
+                c = c * self.right[t]
+            return c
+
+        return DualFunctional(table=FinVec((t, weight(t, c)) for t, c in self.table.items()))
 
     def eval_left(self, instance: MhaInstance, t) -> Fraction:
         vec = FinVec.basis(t)
@@ -519,20 +468,21 @@ class DualFunctional:
 def dual_act(coact, omega: DualFunctional, x: FinVec) -> FinVec:
     """omega(a _ b) |>  x  =  (1 (x) omega(a _ ))(rho(x)(1 (x) b))."""
     inst = coact.instance
-    out = FinVec()
     if inst.algebra.pointwise:
         w = omega.normalized(inst)
-        for c, cc in w.table.items():
-            for (l, t), cv in rule_vec(coact.rho_r, x, FinVec.basis(c)).items():
-                if t == c:
-                    out = out + FinVec.basis(l, cc * cv)
-        return out
+        return lincomb(
+            (FinVec.basis(l), cc * cv)
+            for c, cc in w.table.items()
+            for (l, t), cv in coact.rho_r_vec(x, FinVec.basis(c)).items()
+            if t == c
+        )
     if omega.right is None:
         raise CapabilityError("functional needs a right sandwich to cover the coaction")
-    for b, cb in omega.right.items():
-        for (l, t), cv in rule_vec(coact.rho_r, x, FinVec.basis(b)).items():
-            out = out + FinVec.basis(l, cb * cv * omega.eval_left(inst, t))
-    return out
+    return lincomb(
+        (FinVec.basis(l), cb * cv * omega.eval_left(inst, t))
+        for b, cb in omega.right.items()
+        for (l, t), cv in coact.rho_r_vec(x, FinVec.basis(b)).items()
+    )
 
 
 def dual_mul(instance: MhaInstance, w1: DualFunctional, w2: DualFunctional) -> DualFunctional:
@@ -546,19 +496,19 @@ def dual_mul(instance: MhaInstance, w1: DualFunctional, w2: DualFunctional) -> D
         raise CapabilityError("dual functional product is available for pointwise instances only")
     t1 = w1.normalized(instance).table
     t2 = w2.normalized(instance).table
-    tab = FinVec()
-    for p, c1 in t1.items():
-        for q, c2 in t2.items():
-            tab = tab + FinVec.basis(group.mul(p, q), c1 * c2)
+    tab = bilinear(lambda p, q: FinVec.basis(group.mul(p, q)))(t1, t2)
     return DualFunctional(table=tab)
 
 
 def _components(img: FinVec):
-    """Split a vector on (r, a) pairs into {a: partial vector on r}."""
+    """Split a vector on (r, a) pairs into {a: partial vector on r}.
+
+    Keys come in the order of their first pair in `token_key` order, the
+    order in which witnesses name them."""
     comps = {}
-    for (r, a), c in img.items():
-        comps[a] = comps.get(a, FinVec()) + FinVec.basis(r, c)
-    return comps
+    for r, a in img.support():
+        comps.setdefault(a, {})[r] = img[(r, a)]
+    return {a: FinVec(part) for a, part in comps.items()}
 
 
 def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=None, dim_bound=512):
@@ -629,9 +579,9 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
         rec_wit = []
         scale = Fraction(1) / inst.counit(norm)
         for i, u in enumerate(elems):
-            rec = FinVec()
-            for (r, a), c in com.rho_r_vec(u, FinVec.basis(norm)).items():
-                rec = rec + FinVec.basis(r, c * inst.counit(a))
+            rec = linear(lambda ra: FinVec.basis(ra[0], inst.counit(ra[1])))(
+                com.rho_r_vec(u, FinVec.basis(norm))
+            )
             if rec.scale(scale) != u:
                 rec_wit.append({"generator": i})
             elif u and spans.in_span(u, basis) is None:
@@ -662,10 +612,7 @@ class CoactionGlobalization:
     aux: Mapping = field(default_factory=dict, compare=False)
 
     def theta(self, x: FinVec) -> FinVec:
-        out = FinVec()
-        for t, c in x.items():
-            out = out + self.theta_map[t].scale(c)
-        return out
+        return linear(self.theta_map.__getitem__)(x)
 
     def pi(self, v: FinVec) -> FinVec:
         return self.pi_rule(v)
@@ -709,20 +656,17 @@ def with_identity_pi(G: CoactionGlobalization) -> CoactionGlobalization:
 
 def _pi_tensor(G: CoactionGlobalization, triple: FinVec) -> FinVec:
     # (pi (x) 1) on vectors over ((l, u), w)
-    out = FinVec()
-    for w, comp in _components(triple).items():
-        for pair, c in G.pi(comp).items():
-            out = out + FinVec.basis((pair, w), c)
-    return out
+    return lincomb(
+        (G.pi(comp).map_tokens(lambda pair, w=w: (pair, w)), 1)
+        for w, comp in _components(triple).items()
+    )
 
 
 def _phi_e(G: CoactionGlobalization, z: FinVec, w) -> FinVec:
     # Phi(E)(theta(z) (x) w) = (theta (x) 1)(E (z (x) w))
-    out = FinVec()
-    for (l, u), c in G.base.E.apply_left(tensor(z, FinVec.basis(w))).items():
-        for pair, c2 in G.theta_map[l].items():
-            out = out + FinVec.basis((pair, u), c * c2)
-    return out
+    return tensor_map(G.theta_map.__getitem__, FinVec.basis)(
+        G.base.E.apply_left(tensor(z, FinVec.basis(w)))
+    )
 
 
 def check_coglobalization(G: CoactionGlobalization, window=None):
@@ -796,20 +740,16 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     for i, v in enumerate(G.q_basis):
         lhs = _pi_tensor(G, com.rho_r_vec(G.pi(v), G.e))
         inner = _pi_tensor(G, com.rho_r_vec(v, G.e))
-        rhs = FinVec()
-        failed = False
+        terms = []
         for w, comp in _components(inner).items():
             coords = spans.in_span(comp, theta_vecs)
             if coords is None:
                 eproj_wit.append({"basis_index": i, "reason": "projection left theta(L)"})
-                failed = True
                 break
-            z = FinVec()
-            for tok, coeff in zip(lbasis, coords):
-                z = z + FinVec.basis(tok, coeff)
-            rhs = rhs + _phi_e(G, z, w)
-        if not failed and lhs != rhs:
-            eproj_wit.append({"basis_index": i})
+            terms.append((_phi_e(G, FinVec(zip(lbasis, coords)), w), 1))
+        else:
+            if lhs != lincomb(terms):
+                eproj_wit.append({"basis_index": i})
     if eproj_wit:
         results.append(CheckResult.failed("e_projection", eproj_wit[:4]))
     else:
@@ -817,10 +757,9 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
 
     compat_wit = []
     for x in lbasis:
-        lhs = FinVec()
-        for (l, t), c in C.rho_r_vec(FinVec.basis(x), G.e).items():
-            for pair, c2 in G.theta_map[l].items():
-                lhs = lhs + FinVec.basis((pair, t), c * c2)
+        lhs = tensor_map(G.theta_map.__getitem__, FinVec.basis)(
+            C.rho_r_vec(FinVec.basis(x), G.e)
+        )
         rhs = _pi_tensor(G, com.rho_r_vec(G.theta_map[x], G.e))
         if lhs != rhs:
             compat_wit.append({"token": x})

@@ -31,7 +31,7 @@ from .algebras import (
 from .errors import CapabilityError, StructuralError, WindowError
 from .groups import GroupSpec, cyclic_group
 from .reports import CheckResult
-from .vectors import FinVec
+from .vectors import FinVec, lincomb, token_key
 
 AlphaMap = Callable[[FinVec], FinVec]
 
@@ -90,10 +90,7 @@ def alpha_inverse_image(P: PartialGroupAction, g, target: FinVec) -> Optional[Fi
     coeffs = spans.in_span(target, imgs)
     if coeffs is None:
         return None
-    out = FinVec()
-    for c, v in zip(coeffs, dom):
-        out = out + v.scale(c)
-    return out
+    return lincomb(zip(dom, coeffs))
 
 
 def gamma_element(P: PartialGroupAction, g, x: FinVec) -> FinVec:
@@ -469,12 +466,11 @@ def subset_translation_pga(group: GroupSpec, subset) -> PartialGroupAction:
         dom = frozenset(x for x in X if group.mul(g, x) in xset)
 
         def alpha_g(vec, g=g, dom=dom):
-            out = FinVec()
-            for t, c in vec.items():
-                if t not in dom:
-                    raise StructuralError(f"token {t} outside the domain corner")
-                out = out + FinVec.basis(group.mul(g, t)).scale(c)
-            return out
+            outside = [t for t, _ in vec.items() if t not in dom]
+            if outside:
+                tok = min(outside, key=token_key)
+                raise StructuralError(f"token {tok} outside the domain corner")
+            return vec.map_tokens(lambda t: group.mul(g, t))
 
         alpha[g] = alpha_g
     label = "full" if len(X) == len(group.elements) else f"{len(X)}pts"

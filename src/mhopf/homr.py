@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 from .algebras import Algebra, local_unit
 from .errors import CapabilityError, NoLocalUnitError, StructuralError
-from .mha import MhaInstance, rule_vec
+from .mha import MhaInstance
 from .reports import CheckResult
-from .vectors import FinVec, token_key, vec_sum
+from .vectors import FinVec, bilinear, lincomb, linear, token_key
 
 Rule = Callable[[object], FinVec]
 
@@ -37,15 +37,14 @@ class HomRElem:
             )
         self.source = source
         self.target = target
-        clean = {}
+        terms = {}
         items = table.items() if isinstance(table, dict) else table
         for g, val in items:
             if not isinstance(val, FinVec):
                 raise StructuralError("table values must be target vectors")
-            if val.is_zero():
-                continue
-            clean[g] = clean[g] + val if g in clean else val
-        self._table = {g: v for g, v in clean.items() if not v.is_zero()}
+            terms.setdefault(g, []).append((val, 1))
+        sums = ((g, lincomb(vals)) for g, vals in terms.items())
+        self._table = {g: v for g, v in sums if v}
 
     @staticmethod
     def zero(source: MhaInstance, target: Algebra) -> "HomRElem":
@@ -54,14 +53,11 @@ class HomRElem:
     @staticmethod
     def from_rule(source: MhaInstance, target: Algebra, rule: Rule, a: FinVec) -> "HomRElem":
         """Collapse f(_a): table g -> f(delta_g a)."""
-        table = {}
-        for g in _right_support(source, a):
-            prod = source.algebra.mul(FinVec.basis(g), a)
-            val = FinVec()
-            for t, c in prod.items():
-                val = val + rule(t).scale(c)
-            table[g] = val
-        return HomRElem(source, target, table)
+        extend = linear(rule)
+        return HomRElem(source, target, (
+            (g, extend(source.algebra.mul(FinVec.basis(g), a)))
+            for g in _right_support(source, a)
+        ))
 
     def support(self):
         return sorted(self._table, key=token_key)
@@ -77,17 +73,11 @@ class HomRElem:
 
     def evaluate(self, b: FinVec) -> FinVec:
         """The element as a map: b |-> sum_g b(g) F(g)."""
-        out = FinVec()
-        for g, c in b.items():
-            out = out + self.value(g).scale(c)
-        return out
+        return linear(self.value)(b)
 
     def __add__(self, other: "HomRElem") -> "HomRElem":
         _same_spaces(self, other)
-        table = dict(self._table)
-        for g, v in other._table.items():
-            table[g] = table.get(g, FinVec()) + v
-        return HomRElem(self.source, self.target, table)
+        return hom_lincomb(self.source, self.target, ((self, 1), (other, 1)))
 
     def scale(self, c) -> "HomRElem":
         return HomRElem(
@@ -111,6 +101,13 @@ class HomRElem:
         return "HomRElem{" + ", ".join(parts) + "}"
 
 
+def hom_lincomb(source: MhaInstance, target: Algebra, pairs) -> HomRElem:
+    """Sum of coeff * H over (H, coeff) pairs, summed tablewise."""
+    return HomRElem(source, target, (
+        (g, v.scale(c)) for H, c in pairs for g, v in H._table.items()
+    ))
+
+
 def _same_spaces(F: HomRElem, G: HomRElem) -> None:
     if F.source is not G.source or F.target is not G.target:
         raise StructuralError("operands live over different source or target")
@@ -131,7 +128,7 @@ def _right_support(source: MhaInstance, a: FinVec):
 def support_indicator(F: HomRElem) -> FinVec:
     """The canonical covering element: f(_a) with a the support indicator
     reproduces the table exactly."""
-    return vec_sum(FinVec.basis(g) for g in F.support())
+    return FinVec((g, 1) for g in F.support())
 
 
 def conv_mul(F: HomRElem, G: HomRElem) -> HomRElem:
@@ -140,13 +137,11 @@ def conv_mul(F: HomRElem, G: HomRElem) -> HomRElem:
     group = F.source.algebra.group
     if group is None:
         return conv_mul_generic(F, G)
-    table = {}
-    for p, fp in F.items():
-        for q, gq in G.items():
-            c = group.mul(p, q)
-            val = F.target.mul(fp, gq)
-            table[c] = table.get(c, FinVec()) + val
-    return HomRElem(F.source, F.target, table)
+    return HomRElem(F.source, F.target, (
+        (group.mul(p, q), F.target.mul(fp, gq))
+        for p, fp in F._table.items()
+        for q, gq in G._table.items()
+    ))
 
 
 def conv_mul_generic(F: HomRElem, G: HomRElem) -> HomRElem:
@@ -155,18 +150,11 @@ def conv_mul_generic(F: HomRElem, G: HomRElem) -> HomRElem:
     piece h_i(_p_i) with h_i = mu (f (x) g) (Delta(.)(1 (x) q_i))."""
     _same_spaces(F, G)
     M = F.source
-    a_ind = support_indicator(F)
-    b_ind = support_indicator(G)
-    pairs = rule_vec(M.t1_inv, a_ind, b_ind)
-    table = {}
-    for (p, q), coeff in pairs.items():
-        inner = FinVec()
-        for (u, w), c2 in M.delta_r(p, q).items():
-            val = F.target.mul(F.value(u), G.value(w))
-            inner = inner + val.scale(c2)
-        if not inner.is_zero():
-            table[p] = table.get(p, FinVec()) + inner.scale(coeff)
-    return HomRElem(F.source, F.target, table)
+    piece = linear(lambda uw: F.target.mul(F.value(uw[0]), G.value(uw[1])))
+    pairs = bilinear(M.t1_inv)(support_indicator(F), support_indicator(G))
+    return HomRElem(F.source, F.target, (
+        (p, piece(M.delta_r(p, q)).scale(coeff)) for (p, q), coeff in pairs.items()
+    ))
 
 
 def module_act(a, F: HomRElem) -> HomRElem:
@@ -283,11 +271,12 @@ def check_module_algebra(
             e = local_unit(M.algebra, [support_indicator(G)])
             for a in window:
                 left = _act_vec(act, FinVec.basis(a), conv_mul(F, G))
-                pairs = rule_vec(M.delta_r, FinVec.basis(a), e)
-                right = HomRElem.zero(M, R)
-                for (u, v), c in pairs.items():
-                    right = right + conv_mul(_act_vec(act, FinVec.basis(u), F),
-                                             _act_vec(act, FinVec.basis(v), G)).scale(c)
+                pairs = bilinear(M.delta_r)(FinVec.basis(a), e)
+                right = hom_lincomb(M, R, (
+                    (conv_mul(_act_vec(act, FinVec.basis(u), F),
+                              _act_vec(act, FinVec.basis(v), G)), c)
+                    for (u, v), c in pairs.items()
+                ))
                 if left != right:
                     witnesses.append({"a": a, "F": F, "G": G, "left": left, "right": right})
     results.append(
@@ -302,10 +291,7 @@ def check_module_algebra(
 def _act_vec(act, a: FinVec, F: HomRElem) -> HomRElem:
     if not isinstance(a, FinVec):
         a = FinVec.basis(a)
-    out = HomRElem.zero(F.source, F.target)
-    for g, c in a.items():
-        out = out + act(g, F).scale(c)
-    return out
+    return hom_lincomb(F.source, F.target, ((act(g, F), c) for g, c in a.items()))
 
 
 def check_convolutive_inverse(
@@ -327,6 +313,7 @@ def check_convolutive_inverse(
     if not M.is_regular():
         raise CapabilityError(f"{M.name} is not regular: cannot solve for b")
     window = M.basis_window(window)
+    f_vec = linear(f_rule)
     witnesses = []
     checked = 0
     for a in test_elems:
@@ -341,18 +328,16 @@ def check_convolutive_inverse(
         b = M.antipode_inv_vec(u)
         for d in window:
             expected = a.scale(M.counit(d))
-            lhs = FinVec()
-            for (p, w), c in rule_vec(M.delta_r, FinVec.basis(d), a).items():
-                fval = _apply_rule(f_rule, M.algebra.mul(FinVec.basis(p), b))
-                lhs = lhs + M.algebra.mul(fval, g_rule(w)).scale(c)
+            lhs = linear(
+                lambda pw: M.algebra.mul(f_vec(M.algebra.mul(FinVec.basis(pw[0]), b)), g_rule(pw[1]))
+            )(bilinear(M.delta_r)(FinVec.basis(d), a))
             if lhs != expected:
                 witnesses.append(
                     {"item": "i", "a": a, "d": d, "value": lhs, "expected": expected}
                 )
-            rhs = FinVec()
-            for (s, t), c in rule_vec(M.delta_l, a, FinVec.basis(d)).items():
-                fval = _apply_rule(f_rule, M.algebra.mul(b, FinVec.basis(t)))
-                rhs = rhs + M.algebra.mul(g_rule(s), fval).scale(c)
+            rhs = linear(
+                lambda st: M.algebra.mul(g_rule(st[0]), f_vec(M.algebra.mul(b, FinVec.basis(st[1]))))
+            )(bilinear(M.delta_l)(a, FinVec.basis(d)))
             if rhs != expected:
                 witnesses.append(
                     {"item": "ii", "a": a, "d": d, "value": rhs, "expected": expected}
@@ -365,13 +350,6 @@ def check_convolutive_inverse(
     return CheckResult.passed("convolutive_inverse", evaluations=checked)
 
 
-def _apply_rule(rule: Rule, x: FinVec) -> FinVec:
-    out = FinVec()
-    for t, c in x.items():
-        out = out + rule(t).scale(c)
-    return out
-
-
 def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) -> list[CheckResult]:
     """A central convolutive inverse of the identity is the antipode: the
     candidate must be an anti-homomorphism and satisfy both antipode
@@ -382,7 +360,7 @@ def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) ->
     witnesses = []
     for a in window:
         for b in window:
-            lhs = _apply_rule(candidate, M.algebra.mul_basis(a, b))
+            lhs = linear(candidate)(M.algebra.mul_basis(a, b))
             rhs = M.algebra.mul(candidate(b), candidate(a))
             if lhs != rhs:
                 witnesses.append({"pair": (a, b), "S'(ab)": lhs, "S'(b)S'(a)": rhs})
@@ -394,14 +372,14 @@ def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) ->
     witnesses = []
     for c in window:
         for a in window:
-            left = FinVec()
-            for (u, v), k in M.delta_r(c, a).items():
-                left = left + M.algebra.mul(candidate(u), FinVec.basis(v)).scale(k)
+            left = linear(
+                lambda uv: M.algebra.mul(candidate(uv[0]), FinVec.basis(uv[1]))
+            )(M.delta_r(c, a))
             if left != FinVec.basis(a, M.counit(c)):
                 witnesses.append({"law": "m(S' x i)", "pair": (c, a), "value": left})
-            right = FinVec()
-            for (u, v), k in M.delta_l(a, c).items():
-                right = right + M.algebra.mul(FinVec.basis(u), candidate(v)).scale(k)
+            right = linear(
+                lambda uv: M.algebra.mul(FinVec.basis(uv[0]), candidate(uv[1]))
+            )(M.delta_l(a, c))
             if right != FinVec.basis(a, M.counit(c)):
                 witnesses.append({"law": "m(i x S')", "pair": (c, a), "value": right})
     results.append(

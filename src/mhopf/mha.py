@@ -26,7 +26,7 @@ from .algebras import Algebra, group_algebra_plain, pointwise_algebra
 from .errors import CapabilityError, StructuralError
 from .groups import GroupSpec
 from .reports import CheckResult
-from .vectors import FinVec, token_key
+from .vectors import FinVec, bilinear, linear, tensor_map, token_key
 
 PairRule = Callable[[object, object], FinVec]
 
@@ -62,27 +62,12 @@ class MhaInstance:
         return sum((c * self.counit(t) for t, c in x.items()), Fraction(0))
 
     def antipode_vec(self, x: FinVec) -> FinVec:
-        out = FinVec()
-        for t, c in x.items():
-            out = out + self.antipode(t).scale(c)
-        return out
+        return linear(self.antipode)(x)
 
     def antipode_inv_vec(self, x: FinVec) -> FinVec:
         if self.antipode_inv is None:
             raise CapabilityError(f"{self.name} has no inverse antipode")
-        out = FinVec()
-        for t, c in x.items():
-            out = out + self.antipode_inv(t).scale(c)
-        return out
-
-
-def rule_vec(rule: PairRule, x: FinVec, y: FinVec) -> FinVec:
-    """Bilinear extension of a basis-pair rule."""
-    out = FinVec()
-    for i, ci in x.items():
-        for j, cj in y.items():
-            out = out + rule(i, j).scale(ci * cj)
-    return out
+        return linear(self.antipode_inv)(x)
 
 
 SWEEDLER_PATTERNS = ("plain_r", "plain_l", "iS", "Sinv")
@@ -114,7 +99,7 @@ def sweedler_cov(instance: MhaInstance, pattern: str, a, b) -> FinVec:
         a = FinVec.basis(a)
     if not isinstance(b, FinVec):
         b = FinVec.basis(b)
-    return rule_vec(rule, a, b)
+    return bilinear(rule)(a, b)
 
 
 def function_algebra(group: GroupSpec) -> MhaInstance:
@@ -187,34 +172,11 @@ def mha_from_delta(
     basis = algebra.basis
     deltas = {a: delta(a) for a in basis}
 
-    def pair_mul_second(pairs: FinVec, b) -> FinVec:
-        out = FinVec()
-        for (u, v), c in pairs.items():
-            out = out + algebra.mul_basis(v, b).map_tokens(lambda t, u=u: (u, t)).scale(c)
-        return out
-
-    def pair_mul_first_left(a, pairs: FinVec) -> FinVec:
-        out = FinVec()
-        for (u, v), c in pairs.items():
-            out = out + algebra.mul_basis(a, u).map_tokens(lambda t, v=v: (t, v)).scale(c)
-        return out
-
-    def pair_mul_first_right(pairs: FinVec, b) -> FinVec:
-        out = FinVec()
-        for (u, v), c in pairs.items():
-            out = out + algebra.mul_basis(u, b).map_tokens(lambda t, v=v: (t, v)).scale(c)
-        return out
-
-    def pair_mul_second_left(a, pairs: FinVec) -> FinVec:
-        out = FinVec()
-        for (u, v), c in pairs.items():
-            out = out + algebra.mul_basis(a, v).map_tokens(lambda t, u=u: (u, t)).scale(c)
-        return out
-
-    delta_r = lambda a, b: pair_mul_second(deltas[a], b)
-    delta_l = lambda a, b: pair_mul_first_left(a, deltas[b])
-    delta_r_flip = lambda a, b: pair_mul_first_right(deltas[a], b)
-    delta_l_flip = lambda a, b: pair_mul_second_left(a, deltas[b])
+    keep = FinVec.basis
+    delta_r = lambda a, b: tensor_map(keep, lambda v: algebra.mul_basis(v, b))(deltas[a])
+    delta_l = lambda a, b: tensor_map(lambda u: algebra.mul_basis(a, u), keep)(deltas[b])
+    delta_r_flip = lambda a, b: tensor_map(lambda u: algebra.mul_basis(u, b), keep)(deltas[a])
+    delta_l_flip = lambda a, b: tensor_map(keep, lambda v: algebra.mul_basis(a, v))(deltas[b])
 
     pair_tokens = [(a, b) for a in basis for b in basis]
 
@@ -234,14 +196,7 @@ def mha_from_delta(
     t2_inv = invert_map(delta_l, "T2")
 
     def cov_iS(a, b):
-        out = FinVec()
-        for (u, v), c in deltas[a].items():
-            sv = antipode(v)
-            for w, cw in sv.items():
-                out = out + algebra.mul_basis(w, b).map_tokens(
-                    lambda t, u=u: (u, t)
-                ).scale(c * cw)
-        return out
+        return tensor_map(keep, lambda v: algebra.mul(antipode(v), FinVec.basis(b)))(deltas[a])
 
     return MhaInstance(
         name=name,
@@ -295,14 +250,12 @@ def check_coassociativity(instance: MhaInstance, window=None) -> CheckResult:
     for a in window:
         for b in window:
             for c in window:
-                lhs = FinVec()
-                for (u, v), cuv in instance.delta_r(b, c).items():
-                    for (s, t), cst in instance.delta_l(a, u).items():
-                        lhs = lhs + FinVec.basis((s, t, v), cuv * cst)
-                rhs = FinVec()
-                for (s, t), cst in instance.delta_l(a, b).items():
-                    for (u, w), cuw in instance.delta_r(t, c).items():
-                        rhs = rhs + FinVec.basis((s, u, w), cst * cuw)
+                lhs = linear(
+                    lambda uv: instance.delta_l(a, uv[0]).map_tokens(lambda st: (*st, uv[1]))
+                )(instance.delta_r(b, c))
+                rhs = linear(
+                    lambda st: instance.delta_r(st[1], c).map_tokens(lambda uw: (st[0], *uw))
+                )(instance.delta_l(a, b))
                 if lhs != rhs:
                     witnesses.append({"triple": (a, b, c), "lhs": lhs, "rhs": rhs})
                     if len(witnesses) >= 3:
@@ -319,12 +272,12 @@ def check_counit(instance: MhaInstance, window=None) -> CheckResult:
     for a in window:
         for b in window:
             prod = instance.algebra.mul_basis(a, b)
-            left = FinVec()
-            for (u, v), c in instance.delta_r(a, b).items():
-                left = left + FinVec.basis(v, c * instance.counit(u))
-            right = FinVec()
-            for (u, v), c in instance.delta_l(a, b).items():
-                right = right + FinVec.basis(u, c * instance.counit(v))
+            left = linear(
+                lambda uv: FinVec.basis(uv[1], instance.counit(uv[0]))
+            )(instance.delta_r(a, b))
+            right = linear(
+                lambda uv: FinVec.basis(uv[0], instance.counit(uv[1]))
+            )(instance.delta_l(a, b))
             if left != prod or right != prod:
                 witnesses.append(
                     {"pair": (a, b), "left": left, "right": right, "product": prod}
@@ -356,17 +309,13 @@ def check_antipode(instance: MhaInstance, window=None) -> CheckResult:
     witnesses = []
     for a in window:
         for b in window:
-            lhs = FinVec()
-            for (u, v), c in instance.delta_r(a, b).items():
-                lhs = lhs + instance.algebra.mul(
-                    instance.antipode(u), FinVec.basis(v)
-                ).scale(c)
+            lhs = linear(
+                lambda uv: instance.algebra.mul(instance.antipode(uv[0]), FinVec.basis(uv[1]))
+            )(instance.delta_r(a, b))
             expected = FinVec.basis(b, instance.counit(a))
-            rhs = FinVec()
-            for (u, v), c in instance.delta_l(a, b).items():
-                rhs = rhs + instance.algebra.mul(
-                    FinVec.basis(u), instance.antipode(v)
-                ).scale(c)
+            rhs = linear(
+                lambda uv: instance.algebra.mul(FinVec.basis(uv[0]), instance.antipode(uv[1]))
+            )(instance.delta_l(a, b))
             expected_r = FinVec.basis(a, instance.counit(b))
             if lhs != expected or rhs != expected_r:
                 witnesses.append(
@@ -421,10 +370,7 @@ def check_coverage_bijections(instance: MhaInstance, window=None) -> CheckResult
 
 
 def _compose(rule: PairRule, pairs: FinVec) -> FinVec:
-    out = FinVec()
-    for (u, v), c in pairs.items():
-        out = out + rule(u, v).scale(c)
-    return out
+    return linear(lambda uv: rule(*uv))(pairs)
 
 
 def check_regular(instance: MhaInstance, window=None) -> CheckResult:

@@ -40,15 +40,27 @@ from .algebras import (
 from .errors import CapabilityError, StructuralError
 from .groups import GroupSpec, closure, is_normal
 from .homr import HomRElem
-from .mha import MhaInstance, function_algebra, rule_vec
+from .mha import MhaInstance, function_algebra
 from .reports import CheckResult
-from .vectors import FinVec, token_key, vec_sum
+from .vectors import FinVec, bilinear, lincomb, linear, token_key
 
 ActRule = Callable[[object, object], FinVec]
 
 
+class LinearAction:
+    """Mixin for structures with a basis rule `act(a_tok, x_tok)`."""
+
+    def act_vec(self, a: FinVec, x: FinVec) -> FinVec:
+        """Bilinear extension of `act`; bare tokens count as basis vectors."""
+        if not isinstance(a, FinVec):
+            a = FinVec.basis(a)
+        if not isinstance(x, FinVec):
+            x = FinVec.basis(x)
+        return bilinear(self.act)(a, x)
+
+
 @dataclass(frozen=True)
-class PartialActionData:
+class PartialActionData(LinearAction):
     name: str
     instance: MhaInstance
     algebra: Algebra
@@ -56,17 +68,6 @@ class PartialActionData:
     e_map: Callable[[object], Multiplier]
     a_window: Optional[tuple] = None
     aux: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def act_vec(self, a: FinVec, x: FinVec) -> FinVec:
-        if not isinstance(a, FinVec):
-            a = FinVec.basis(a)
-        if not isinstance(x, FinVec):
-            x = FinVec.basis(x)
-        out = FinVec()
-        for g, cg in a.items():
-            for t, ct in x.items():
-                out = out + self.act(g, t).scale(cg * ct)
-        return out
 
     def acting_window(self, window=None) -> tuple:
         if isinstance(window, int):
@@ -79,22 +80,11 @@ class PartialActionData:
 
 
 @dataclass(frozen=True)
-class GlobalAction:
+class GlobalAction(LinearAction):
     name: str
     instance: MhaInstance
     algebra: Algebra
     act: ActRule
-
-    def act_vec(self, a: FinVec, x: FinVec) -> FinVec:
-        if not isinstance(a, FinVec):
-            a = FinVec.basis(a)
-        if not isinstance(x, FinVec):
-            x = FinVec.basis(x)
-        out = FinVec()
-        for g, cg in a.items():
-            for t, ct in x.items():
-                out = out + self.act(g, t).scale(cg * ct)
-        return out
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,7 @@ class AProjection:
 
 
 @dataclass(frozen=True)
-class Globalization:
+class Globalization(LinearAction):
     name: str
     action: PartialActionData
     algebra: Algebra
@@ -119,19 +109,7 @@ class Globalization:
     def theta(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec):
             x = FinVec.basis(x)
-        out = FinVec()
-        for t, c in x.items():
-            out = out + self.theta_map[t].scale(c)
-        return out
-
-    def act_vec(self, a: FinVec, v: FinVec) -> FinVec:
-        if not isinstance(a, FinVec):
-            a = FinVec.basis(a)
-        out = FinVec()
-        for g, cg in a.items():
-            for t, ct in v.items():
-                out = out + self.act(g, t).scale(cg * ct)
-        return out
+        return linear(self.theta_map.__getitem__)(x)
 
     def pi_L(self, v: FinVec) -> FinVec:
         return self.pi_rule(v)
@@ -155,7 +133,7 @@ def search_indicator_witness(ground, predicate, max_candidates=2048):
             if tried >= max_candidates:
                 return None, False
             tried += 1
-            b = vec_sum(FinVec.basis(g) for g in combo)
+            b = FinVec((g, 1) for g in combo)
             if predicate(b):
                 return b, True
     return None, True
@@ -182,9 +160,9 @@ def check_partial_action(
                 for y in lw:
                     inner = P.algebra.mul(FinVec.basis(x), P.act(b, y))
                     lhs = P.act_vec(FinVec.basis(a), inner)
-                    rhs = FinVec()
-                    for (u, w), c in M.delta_r(a, b).items():
-                        rhs = rhs + P.algebra.mul(P.act(u, x), P.act_vec(FinVec.basis(w), FinVec.basis(y))).scale(c)
+                    rhs = linear(
+                        lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
+                    )(M.delta_r(a, b))
                     if lhs != rhs:
                         witnesses.append({"a": a, "b": b, "x": x, "y": y,
                                           "lhs": lhs, "rhs": rhs})
@@ -206,9 +184,7 @@ def check_partial_action(
             for b in aw:
                 for x in lw:
                     lhs = P.e_map(a).apply_left(P.act(b, x))
-                    rhs = FinVec()
-                    for (u, w), c in M.cov_iS(a, b).items():
-                        rhs = rhs + P.act_vec(FinVec.basis(u), P.act_vec(FinVec.basis(w), FinVec.basis(x))).scale(c)
+                    rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(M.cov_iS(a, b))
                     if lhs != rhs:
                         witnesses.append({"a": a, "b": b, "x": x,
                                           "lhs": lhs, "rhs": rhs})
@@ -254,10 +230,7 @@ def check_partial_action(
         ))
 
     def stacked(x_tok):
-        out = FinVec()
-        for a in aw:
-            out = out + P.act(a, x_tok).map_tokens(lambda t, a=a: (a, t))
-        return out
+        return lincomb((P.act(a, x_tok).map_tokens(lambda t, a=a: (a, t)), 1) for a in aw)
 
     kernel = spans.kernel_of_map(lw, stacked)
     results.append(
@@ -333,9 +306,9 @@ def check_symmetric(
                 for y in lw:
                     inner = P.algebra.mul(P.act(b, x), FinVec.basis(y))
                     lhs = P.act_vec(FinVec.basis(a), inner)
-                    rhs = FinVec()
-                    for (u, w), c in M.delta_r_flip(a, b).items():
-                        rhs = rhs + P.algebra.mul(P.act(u, x), P.act(w, y)).scale(c)
+                    rhs = linear(
+                        lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
+                    )(M.delta_r_flip(a, b))
                     if lhs != rhs:
                         witnesses.append({"a": a, "b": b, "x": x, "y": y,
                                           "lhs": lhs, "rhs": rhs})
@@ -350,9 +323,7 @@ def check_symmetric(
         for b in aw:
             for x in lw:
                 lhs = P.e_map(a).apply_right(P.act(b, x))
-                rhs = FinVec()
-                for (u, w), c in M.cov_Sinv(a, b).items():
-                    rhs = rhs + P.act_vec(FinVec.basis(u), P.act_vec(FinVec.basis(w), FinVec.basis(x))).scale(c)
+                rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(M.cov_Sinv(a, b))
                 if lhs != rhs:
                     witnesses.append({"a": a, "b": b, "x": x,
                                       "lhs": lhs, "rhs": rhs})
@@ -487,51 +458,6 @@ def as_partial(ctx: GlobalAction, a_window=None) -> PartialActionData:
     )
 
 
-def check_global_action(ctx: GlobalAction, a_window=None, r_window=None) -> list[CheckResult]:
-    """Module law and the covered product law for a claimed global action."""
-    M = ctx.instance
-    aw = M.basis_window(a_window)
-    rw = ctx.algebra.basis_window(r_window)
-    results = []
-
-    witnesses = []
-    for a in aw:
-        for b in aw:
-            ab = M.algebra.mul_basis(a, b)
-            for x in rw:
-                lhs = ctx.act_vec(FinVec.basis(a), ctx.act(b, x))
-                rhs = ctx.act_vec(ab, FinVec.basis(x))
-                if lhs != rhs:
-                    witnesses.append({"a": a, "b": b, "x": x, "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("module_law", witnesses[:3]) if witnesses
-        else CheckResult.passed("module_law", a_window=len(aw), r_window=len(rw))
-    )
-
-    witnesses = []
-    for a in aw:
-        for x in rw:
-            for y in rw:
-                ycover, exhausted = search_indicator_witness(
-                    aw, lambda b: ctx.act_vec(b, FinVec.basis(y)) == FinVec.basis(y))
-                if ycover is None:
-                    witnesses.append({"y": y, "note": "no acting local unit found",
-                                      "exhausted": exhausted})
-                    continue
-                lhs = ctx.act_vec(FinVec.basis(a), ctx.algebra.mul_basis(x, y))
-                rhs = FinVec()
-                for (u, w), c in rule_vec(M.delta_r, FinVec.basis(a), ycover).items():
-                    rhs = rhs + ctx.algebra.mul(ctx.act(u, x), ctx.act(w, y)).scale(c)
-                if lhs != rhs:
-                    witnesses.append({"a": a, "x": x, "y": y, "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("covered_product_law", witnesses[:3]) if witnesses
-        else CheckResult.passed("covered_product_law",
-                                a_window=len(aw), r_window=len(rw))
-    )
-    return results
-
-
 def check_a_projection(
     proj: AProjection,
     a_window=None,
@@ -663,11 +589,7 @@ def subalgebra_from_vectors(ambient: Algebra, vecs, prefix="s"):
             raise StructuralError("vector escapes the declared subalgebra")
         return FinVec(zip(tokens, coeffs))
 
-    def embed(v: FinVec) -> FinVec:
-        out = FinVec()
-        for t, c in v.items():
-            out = out + by_token[t].scale(c)
-        return out
+    embed = linear(by_token.__getitem__)
 
     def mul_basis(i, j):
         return project(ambient.mul(by_token[i], by_token[j]))
@@ -712,12 +634,7 @@ def induce_from_projection(
     def act(a, ltok):
         return project(proj.rule(ctx.act_vec(FinVec.basis(a), embed(FinVec.basis(ltok)))))
 
-    def act_vec(a, x):
-        out = FinVec()
-        for g, cg in a.items():
-            for t, ct in x.items():
-                out = out + act(g, t).scale(cg * ct)
-        return out
+    act_vec = bilinear(act)
 
     unit_cache = {}
 
@@ -733,21 +650,16 @@ def induce_from_projection(
         return unit_cache[ltok]
 
     def e_map(a):
-        def left_rule(ltok):
-            b = acting_unit(ltok)
-            out = FinVec()
-            for (u, w), c in rule_vec(M.cov_iS, FinVec.basis(a), b).items():
-                out = out + act_vec(FinVec.basis(u), act(w, ltok)).scale(c)
-            return out
+        def side(cover):
+            # sum u . (w . l) over the covered expansion of a against the
+            # acting unit of l
+            return lambda ltok: linear(
+                lambda uw: act_vec(FinVec.basis(uw[0]), act(uw[1], ltok))
+            )(bilinear(cover)(FinVec.basis(a), acting_unit(ltok)))
 
-        def right_rule(ltok):
-            b = acting_unit(ltok)
-            out = FinVec()
-            for (u, w), c in rule_vec(M.cov_Sinv, FinVec.basis(a), b).items():
-                out = out + act_vec(FinVec.basis(u), act(w, ltok)).scale(c)
-            return out
-
-        return Multiplier.from_rules(L_alg, left_rule, right_rule, window=L_alg.basis)
+        return Multiplier.from_rules(
+            L_alg, side(M.cov_iS), side(M.cov_Sinv), window=L_alg.basis
+        )
 
     return PartialActionData(
         name=f"induced:{ctx.name}",
@@ -843,21 +755,13 @@ def globalize(P: PartialActionData, a_window=None, skip_checks=False) -> Globali
     theta_map = {}
     for x in P.algebra.basis:
         F = phi_embed(P, x, a_window=aw)
-        vec = FinVec()
-        for g, val in F.items():
-            for t, c in val.items():
-                vec = vec + FinVec.basis((g, t), c)
-        theta_map[x] = vec
+        theta_map[x] = FinVec(((g, t), c) for g, val in F.items() for t, c in val.items())
 
     def act(a, tok):
         g, t = tok
         return FinVec.basis(tok) if a == g else FinVec()
 
-    def pi_rule(v: FinVec) -> FinVec:
-        out = FinVec()
-        for (g, t), c in v.items():
-            out = out + FinVec.basis(t, c)
-        return out
+    pi_rule = linear(lambda tok: FinVec.basis(tok[1]))
 
     gens = []
     labels = []
@@ -917,12 +821,7 @@ def junk_globalization(P: PartialActionData, a_window=None) -> Globalization:
         x: std.theta_map[x] + FinVec.basis((JUNK, x)) for x in lbasis
     }
 
-    def pi_rule(v: FinVec) -> FinVec:
-        out = FinVec()
-        for tok, c in v.items():
-            if tok[0] != JUNK:
-                out = out + FinVec.basis(tok[1], c)
-        return out
+    pi_rule = linear(lambda tok: FinVec() if tok[0] == JUNK else FinVec.basis(tok[1]))
 
     gens = []
     for (a, x), base in zip(std.gen_labels, std.generators):
@@ -1019,11 +918,9 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
                 if cover is None:
                     continue
                 lhs = G.act_vec(FinVec.basis(a), G.algebra.mul(v, w))
-                rhs = FinVec()
-                for (u, t), c in rule_vec(M.delta_r, FinVec.basis(a), cover).items():
-                    rhs = rhs + G.algebra.mul(
-                        G.act_vec(FinVec.basis(u), v),
-                        G.act_vec(FinVec.basis(t), w)).scale(c)
+                rhs = linear(
+                    lambda ut: G.algebra.mul(G.act_vec(ut[0], v), G.act_vec(ut[1], w))
+                )(bilinear(M.delta_r)(FinVec.basis(a), cover))
                 if lhs != rhs:
                     witnesses.append({"a": a, "v": v, "w": w, "lhs": lhs, "rhs": rhs})
     if witnesses:
@@ -1167,16 +1064,13 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
     idx = tuple(range(n))
     results = []
 
-    def combine(gens, coeffs: FinVec) -> FinVec:
-        out = FinVec()
-        for i, c in coeffs.items():
-            out = out + gens[i].scale(c)
-        return out
+    via1 = linear(G1.generators.__getitem__)
+    via2 = linear(G2.generators.__getitem__)
 
     kernel1 = spans.kernel_of_map(idx, lambda i: G1.generators[i])
     witnesses = []
     for k in kernel1:
-        image = combine(G2.generators, k)
+        image = via2(k)
         if not image.is_zero():
             witnesses.append({"coeffs": k, "image": image})
     results.append(
@@ -1188,7 +1082,7 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
         coeffs = spans.in_span(v, list(G1.generators))
         if coeffs is None:
             return None
-        return combine(G2.generators, FinVec(zip(idx, coeffs)))
+        return via2(FinVec(zip(idx, coeffs)))
 
     witnesses = []
     for i in idx:
@@ -1227,7 +1121,7 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
     kernel2 = spans.kernel_of_map(idx, lambda i: G2.generators[i])
     witnesses = []
     for k in kernel2:
-        pre = combine(G1.generators, k)
+        pre = via1(k)
         if not pre.is_zero():
             witnesses.append({"kernel_element": pre, "coeffs": k})
     results.append(

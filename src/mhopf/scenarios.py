@@ -38,7 +38,7 @@ from .errors import MhopfError, StructuralError
 from .groups import GroupSpec, parse_group, subgroup_elements
 from .homr import HomRElem
 from .reports import CheckResult, Report
-from .vectors import FinVec
+from .vectors import FinVec, linear, token_key
 
 SCENARIO_SCHEMA = 1
 
@@ -62,11 +62,10 @@ def _coeff(value) -> Fraction:
 
 def _vector(spec) -> FinVec:
     """[[token, coeff], ...]; coeff is an int or a [num, den] pair."""
-    out = FinVec()
-    for item in spec:
-        tok, coeff = item[0], item[1:]
-        out = out + FinVec.basis(_token(tok), _coeff(coeff[0] if len(coeff) == 1 else list(coeff)))
-    return out
+    return FinVec(
+        (_token(item[0]), _coeff(item[1] if len(item) == 2 else list(item[1:])))
+        for item in spec
+    )
 
 
 class Context:
@@ -183,14 +182,13 @@ def _build_pga(ctx, entry):
             }
 
             def act(v, rules=rules, g=g):
-                out = FinVec()
-                for tok, c in v.items():
-                    if tok not in rules:
-                        raise StructuralError(
-                            f"inline alpha at {g} has no rule for token {tok!r}"
-                        )
-                    out = out + rules[tok].scale(c)
-                return out
+                missing = [tok for tok, _ in v.items() if tok not in rules]
+                if missing:
+                    tok = min(missing, key=token_key)
+                    raise StructuralError(
+                        f"inline alpha at {g} has no rule for token {tok!r}"
+                    )
+                return linear(rules.__getitem__)(v)
 
             alpha[_token(json.loads(g) if isinstance(g, str) else g)] = act
         return group_actions.make_pga(entry.get("name", "inline"), group, algebra, sigma, alpha)
@@ -260,9 +258,10 @@ def _random_hom_samples(rng, source, target, count):
     for _ in range(count):
         table = {}
         for g in rng.sample(toks, k=min(3, len(toks))):
-            vec = FinVec()
-            for t in rng.sample(ttoks, k=min(2, len(ttoks))):
-                vec = vec + FinVec.basis(t, Fraction(rng.randint(-4, 4)))
+            vec = FinVec(
+                (t, Fraction(rng.randint(-4, 4)))
+                for t in rng.sample(ttoks, k=min(2, len(ttoks)))
+            )
             if vec:
                 table[g] = vec
         out.append(HomRElem(source, target, table))

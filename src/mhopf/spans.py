@@ -18,9 +18,10 @@ from .vectors import FinVec, token_key
 
 
 def collect_tokens(vecs: Iterable[FinVec]):
+    """Union of the supports, in `token_key` order (the matrix layout)."""
     toks = set()
     for v in vecs:
-        toks.update(v.support())
+        toks.update(tok for tok, _ in v.items())
     return sorted(toks, key=token_key)
 
 
@@ -113,11 +114,9 @@ class Span:
     def _reduce(self, vec: FinVec):
         """Residual of vec against the rows, and the (multiplier, row) pairs
         subtracted.  Rows are zero at each other's pivots, so each
-        multiplier is vec's own coefficient at that pivot.  The coefficient
-        dict is read directly: no result depends on its order, and
-        `items()` would sort it on every call."""
-        used = [(c, self._rows[t]) for t, c in vec._c.items() if t in self._rows]
-        res = dict(vec._c)
+        multiplier is vec's own coefficient at that pivot."""
+        used = [(c, self._rows[t]) for t, c in vec.items() if t in self._rows]
+        res = dict(vec.items())
         for c, (row, _) in used:
             _axpy(res, c, row)
         return res, used

@@ -1,15 +1,21 @@
 """Finitely supported vectors over exact rationals.
 
 A vector is a map from basis tokens to nonzero Fractions.  Tokens are
-hashable values (ints, strings, nested tuples); `token_key` gives a total
-order across mixed token kinds so every iteration, rendering and matrix
-layout in the package is deterministic.
+hashable values (ints, strings, nested tuples).  Arithmetic iterates the
+coefficient dict in its own order, since no sum depends on it.  `token_key`
+gives a total order across mixed token kinds, and that canonical order is
+kept wherever an order can be observed: `repr`, `support()` (and `spans`
+token collection, hence matrix layout), witness lists and report rendering.
+
+Every structure map in the package is a linear or bilinear rule on basis
+tokens; `linear` and `bilinear` extend such a rule to vectors, and
+`lincomb` is the accumulator they share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .errors import WindowError
 
@@ -54,9 +60,9 @@ class FinVec:
 
     __slots__ = ("_c",)
 
-    def __init__(self, items: Mapping | Iterable = ()):
+    def __init__(self, items: dict | Iterable = ()):
         coeffs = {}
-        pairs = items.items() if isinstance(items, Mapping) else items
+        pairs = items.items() if isinstance(items, dict) else items
         for tok, val in pairs:
             val = as_scalar(val)
             if val:
@@ -73,18 +79,27 @@ class FinVec:
 
     @staticmethod
     def basis(tok, coeff=1) -> "FinVec":
-        return FinVec([(tok, coeff)])
+        coeff = as_scalar(coeff)
+        return FinVec._of({tok: coeff} if coeff else {})
 
     @staticmethod
     def zero() -> "FinVec":
         return FinVec()
 
+    @staticmethod
+    def _of(coeffs: dict) -> "FinVec":
+        """Wrap a coefficient dict that holds no zero, without copying."""
+        res = FinVec.__new__(FinVec)
+        res._c = coeffs
+        return res
+
     def items(self):
-        """Support/coefficient pairs in canonical token order."""
-        return sorted(self._c.items(), key=lambda kv: token_key(kv[0]))
+        """Support/coefficient pairs in the coefficient dict's own order."""
+        return self._c.items()
 
     def support(self):
-        return tuple(tok for tok, _ in self.items())
+        """Support tokens in canonical `token_key` order."""
+        return tuple(sorted(self._c, key=token_key))
 
     def __getitem__(self, tok) -> Fraction:
         return self._c.get(tok, Fraction(0))
@@ -112,14 +127,10 @@ class FinVec:
                 out[tok] = acc
             else:
                 out.pop(tok, None)
-        res = FinVec.__new__(FinVec)
-        res._c = out
-        return res
+        return FinVec._of(out)
 
     def __neg__(self) -> "FinVec":
-        res = FinVec.__new__(FinVec)
-        res._c = {tok: -val for tok, val in self._c.items()}
-        return res
+        return FinVec._of({tok: -val for tok, val in self._c.items()})
 
     def __sub__(self, other: "FinVec") -> "FinVec":
         return self + (-other)
@@ -128,9 +139,7 @@ class FinVec:
         coeff = as_scalar(coeff)
         if not coeff:
             return FinVec()
-        res = FinVec.__new__(FinVec)
-        res._c = {tok: coeff * val for tok, val in self._c.items()}
-        return res
+        return FinVec._of({tok: coeff * val for tok, val in self._c.items()})
 
     def __rmul__(self, coeff) -> "FinVec":
         return self.scale(coeff)
@@ -149,27 +158,64 @@ class FinVec:
     def __repr__(self) -> str:
         if not self._c:
             return "0"
-        return " + ".join(f"{val}*{format_token(tok)}" for tok, val in self.items())
+        return " + ".join(
+            f"{self._c[tok]}*{format_token(tok)}" for tok in self.support()
+        )
+
+
+def lincomb(pairs: Iterable[tuple[FinVec, object]]) -> FinVec:
+    """Sum of coeff * vec over (vec, coeff) pairs, accumulated in one dict.
+
+    A coefficient that cancels is deleted at once, so no zero is ever
+    stored and the result equals the fold `v1.scale(c1) + v2.scale(c2) + ...`.
+    """
+    acc = {}
+    for vec, coeff in pairs:
+        if not coeff:
+            continue
+        for tok, val in vec._c.items():
+            old = acc.get(tok)
+            if old is None:
+                acc[tok] = coeff * val
+            else:
+                new = old + coeff * val
+                if new:
+                    acc[tok] = new
+                else:
+                    del acc[tok]
+    return FinVec._of(acc)
+
+
+def linear(rule: Callable[[object], FinVec]) -> Callable[[FinVec], FinVec]:
+    """Linear extension of a rule on basis tokens."""
+    return lambda x: lincomb((rule(t), c) for t, c in x._c.items())
+
+
+def bilinear(rule: Callable[[object, object], FinVec]) -> Callable[[FinVec, FinVec], FinVec]:
+    """Bilinear extension of a rule on pairs of basis tokens."""
+    return lambda x, y: lincomb(
+        (rule(i, j), ci * cj) for i, ci in x._c.items() for j, cj in y._c.items()
+    )
 
 
 def vec_sum(vecs: Iterable[FinVec]) -> FinVec:
-    total = FinVec()
-    for v in vecs:
-        total = total + v
-    return total
+    return lincomb((v, 1) for v in vecs)
 
 
 def tensor(x: FinVec, y: FinVec) -> FinVec:
-    """Tensor product of two vectors, indexed by token pairs."""
-    return FinVec(
-        ((i, j), ci * cj) for i, ci in x.items() for j, cj in y.items()
+    """Tensor product of two vectors, indexed by token pairs.
+
+    Distinct pairs of tokens give distinct pair tokens, so there is
+    nothing to accumulate and no product of nonzero coefficients is zero.
+    """
+    return FinVec._of(
+        {(i, j): ci * cj for i, ci in x._c.items() for j, cj in y._c.items()}
     )
 
 
-def tensor_pairs(x: FinVec, y: FinVec, combine=lambda i, j: (i, j)) -> FinVec:
-    return FinVec(
-        (combine(i, j), ci * cj) for i, ci in x.items() for j, cj in y.items()
-    )
+def tensor_map(first: Callable[[object], FinVec], second: Callable[[object], FinVec]):
+    """Linear map f (x) g on vectors over pair tokens, from token rules."""
+    return linear(lambda p: tensor(first(p[0]), second(p[1])))
 
 
 class LinearMapTable:
@@ -181,7 +227,7 @@ class LinearMapTable:
 
     __slots__ = ("table", "window")
 
-    def __init__(self, table: Mapping, window: Iterable | None = None):
+    def __init__(self, table: dict, window: Iterable | None = None):
         self.table = dict(table)
         self.window = frozenset(self.table if window is None else window)
         missing = [tok for tok in self.window if tok not in self.table]
@@ -189,12 +235,11 @@ class LinearMapTable:
             self.table[tok] = FinVec()
 
     def apply(self, vec: FinVec) -> FinVec:
-        out = FinVec()
-        for tok, coeff in vec.items():
-            if tok not in self.window:
-                raise WindowError(f"token {format_token(tok)} outside window")
-            out = out + self.table[tok].scale(coeff)
-        return out
+        outside = [tok for tok in vec._c if tok not in self.window]
+        if outside:
+            tok = min(outside, key=token_key)
+            raise WindowError(f"token {format_token(tok)} outside window")
+        return linear(self.table.__getitem__)(vec)
 
     def __call__(self, vec: FinVec) -> FinVec:
         return self.apply(vec)

@@ -1,15 +1,4 @@
-import importlib.util
-import os
-import re
-import shutil
-import subprocess
-import sys
-import sysconfig
-import tokenize
 from fractions import Fraction
-from pathlib import Path
-
-import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,137 +62,3 @@ def test_nullspace_vectors_annihilate(rows):
     for vec in linalg.nullspace(rows, 4):
         for row in rows:
             assert sum(c * v for c, v in zip(row, vec)) == 0
-
-
-ROOT = Path(__file__).resolve().parents[1]
-LINALG_SRC = ROOT / "src" / "mhopf" / "linalg"
-
-
-def _compiled_twin_env(tmp_path):
-    """Environment whose subprocesses can import mhopf.linalg._rref_cy.
-
-    An importable build is used as it is.  Otherwise setup.py, pyproject.toml
-    and the package are copied into tmp_path and the kernel is built there
-    with `setup.py build_ext --inplace`, so the repository tree stays
-    untouched; the test skips only when this machine has no C compiler or no
-    Python headers.
-    """
-    env = dict(os.environ)
-    if importlib.util.find_spec("mhopf.linalg._rref_cy") is not None:
-        return env
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip(f"no compiled kernel and no C compiler {cc[:1]} on PATH")
-    include = Path(sysconfig.get_paths()["include"])
-    if not (include / "Python.h").is_file():
-        pytest.skip(f"no compiled kernel and no Python.h under {include}")
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(ROOT / name, tmp_path / name)
-    copy = tmp_path / "src" / "mhopf"
-    shutil.copytree(
-        LINALG_SRC.parent,
-        copy,
-        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
-    )
-    res = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    # setup.py marks the kernel optional, so a failed compile only warns.
-    built = copy / "linalg" / f"_rref_cy{sysconfig.get_config_var('EXT_SUFFIX')}"
-    assert res.returncode == 0 and built.is_file(), (
-        f"building _rref_cy.c failed:\n{res.stdout}\n{res.stderr}"
-    )
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy.parent), env.get("PYTHONPATH")]))
-    return env
-
-
-def _pyx_code_lines(lines):
-    """(line number, text) of the .pyx lines Cython compiles into code.
-
-    Blank lines, comment-only lines other than `# cython:` directives, and
-    docstrings are left out.
-    """
-    toks = tokenize.generate_tokens(iter(line + "\n" for line in lines).__next__)
-    doc, logical = set(), []
-    for tok in toks:
-        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
-            if len(logical) == 1 and logical[0].type == tokenize.STRING:
-                doc.update(range(logical[0].start[0], logical[0].end[0] + 1))
-            logical = []
-        elif tok.type not in (tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT):
-            logical.append(tok)
-    return [
-        (no, line.rstrip())
-        for no, line in enumerate(lines, 1)
-        if line.strip()
-        and no not in doc
-        and (not line.lstrip().startswith("#") or line.startswith("# cython:"))
-    ]
-
-
-def test_compiled_twin_source_is_current():
-    """The tracked _rref_cy.c was generated from the current _rref_cy.pyx.
-
-    Cython embeds the source around each statement in comment blocks headed
-    `/* "<file>.pyx":<line>`, marking the statement's own line with
-    `# <<<<<<<<<<<<<<`.  Every marked line must still be that line of the
-    .pyx, and every code line of the .pyx must be among the embedded lines.
-    """
-    pyx = (LINALG_SRC / "_rref_cy.pyx").read_text().splitlines()
-    marked, embedded, block = {}, set(), None
-    for line in (LINALG_SRC / "_rref_cy.c").read_text().splitlines():
-        head = re.match(r'\s*/\* "(?:.*/)?_rref_cy\.pyx":(\d+)$', line)
-        if head:
-            block = int(head.group(1))
-        elif block is not None and line.startswith(" * "):
-            text, mark, _ = line[3:].partition("# <<<<<<<<<<<<<<")
-            embedded.add(text.rstrip())
-            if mark:
-                marked.setdefault(block, set()).add(text.rstrip())
-        else:
-            block = None
-    code = _pyx_code_lines(pyx)
-    assert marked and code, "no embedded source found in _rref_cy.c or no code in _rref_cy.pyx"
-    changed = [
-        (no, text, pyx[no - 1].rstrip() if no <= len(pyx) else None)
-        for no, texts in sorted(marked.items())
-        for text in texts
-        if no > len(pyx) or text != pyx[no - 1].rstrip()
-    ]
-    missing = [(no, text) for no, text in code if text not in embedded]
-    assert not changed and not missing, (
-        "_rref_cy.c is stale; regenerate it with "
-        "`cythonize -3 src/mhopf/linalg/_rref_cy.pyx`. "
-        f"Lines of the .c that differ from the .pyx (line, .c, .pyx): {changed}; "
-        f"lines of the .pyx not in the .c: {missing}"
-    )
-
-
-def test_both_backends_agree(tmp_path):
-    prog = (
-        "from fractions import Fraction as F\n"
-        "from mhopf import linalg\n"
-        "rows=[[F(1),F(2),F(3)],[F(2),F(5,2),F(-1)],[F(0),F(7),F(4)]]\n"
-        "red,piv=linalg.rref(rows)\n"
-        "print(linalg.BACKEND)\n"
-        "print(red)\n"
-        "print(piv)\n"
-        "print(linalg.nullspace([[F(1),F(2),F(3)]],3))\n"
-    )
-    base_env = _compiled_twin_env(tmp_path)
-    outs = {}
-    for pure in ("", "1"):
-        env = dict(base_env)
-        env.pop("MHOPF_PURE", None)
-        if pure:
-            env["MHOPF_PURE"] = pure
-        res = subprocess.run(
-            [sys.executable, "-c", prog], capture_output=True, text=True, env=env, check=True
-        )
-        backend, *rest = res.stdout.splitlines()
-        outs[backend] = rest
-    assert set(outs) == {"cython", "python"}, "compiled backend must be importable"
-    assert outs["cython"] == outs["python"]

@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhopf.errors import WindowError
-from mhopf.vectors import FinVec, LinearMapTable, tensor, tensor_pairs, token_key, vec_sum
+from mhopf.vectors import (
+    FinVec,
+    LinearMapTable,
+    bilinear,
+    lincomb,
+    linear,
+    tensor,
+    token_key,
+    vec_sum,
+)
 
 coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 tokens = st.sampled_from(["a", "b", "c", (0, 1), (1, 0), 2])
@@ -57,7 +66,44 @@ def test_tensor_matches_pairwise_products():
     t = tensor(u, v)
     assert t[("a", 0)] == Fraction(1)
     assert t[("b", 0)] == Fraction(3, 2)
-    assert tensor_pairs(u, v, combine=lambda i, j: (j, i))[(0, "b")] == Fraction(3, 2)
+    swapped = bilinear(lambda i, j: FinVec.basis((j, i)))(u, v)
+    assert swapped[(0, "b")] == Fraction(3, 2)
+
+
+def fold(pairs):
+    """The reference for `lincomb`: one `+` per term."""
+    out = FinVec()
+    for v, c in pairs:
+        out = out + v.scale(c)
+    return out
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.tuples(vectors, coeffs), max_size=6))
+def test_lincomb_matches_the_reference_fold(pairs):
+    got = lincomb(pairs)
+    assert got == fold(pairs)
+    assert all(c != 0 for _, c in got.items())
+    # every term cancelled by its negative: the result stores nothing
+    cancelled = lincomb(pairs + [(v, -c) for v, c in pairs])
+    assert cancelled == FinVec() and len(cancelled) == 0
+
+
+def overlapping_rule(i, j):
+    # images of different pairs share tokens, so terms merge and cancel
+    return FinVec([((i, j), 1), (i, 2), (j, -2)])
+
+
+@settings(deadline=None, derandomize=True)
+@given(vectors, vectors)
+def test_bilinear_matches_the_double_loop(x, y):
+    ref = fold(
+        (overlapping_rule(i, j), ci * cj) for i, ci in x.items() for j, cj in y.items()
+    )
+    assert bilinear(overlapping_rule)(x, y) == ref
+    assert linear(lambda i: overlapping_rule(i, i))(x) == fold(
+        (overlapping_rule(i, i), c) for i, c in x.items()
+    )
 
 
 def test_vec_sum():
@@ -78,3 +124,10 @@ def test_linear_map_table_applies_and_guards_window():
     )
     with pytest.raises(WindowError):
         table(FinVec.basis("missing"))
+    # an in-window token first does not let a later one outside through,
+    # even when the table has an image for it
+    narrow = LinearMapTable(
+        {"a": FinVec.basis("b"), "b": FinVec.basis("a")}, window=("a",)
+    )
+    with pytest.raises(WindowError, match="token b outside window"):
+        narrow(FinVec([("a", 1), ("b", 1)]))
