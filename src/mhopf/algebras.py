@@ -51,12 +51,22 @@ class Algebra:
             raise WindowError(f"algebra {self.name} needs an explicit window")
         return self.basis
 
-    def element(self, items) -> FinVec:
-        return FinVec(items)
 
+def once_per_pair(rule: Callable[[object, object], FinVec]):
+    """`rule` computed once per ordered pair of tokens.
 
-def multiply(algebra: Algebra, x: FinVec, y: FinVec) -> FinVec:
-    return algebra.mul(x, y)
+    The results fill a dict on demand, with no eviction: over a finite
+    basis of n tokens it holds at most n * n vectors.  The pair is ordered
+    because the product need not commute."""
+    table = {}
+
+    def cached(i, j):
+        out = table.get((i, j))
+        if out is None:
+            out = table[i, j] = rule(i, j)
+        return out
+
+    return cached
 
 
 def pointwise_algebra(group: GroupSpec) -> Algebra:
@@ -405,7 +415,9 @@ class Corner:
     ambient algebra, with exact embed/project between coordinates.
 
     Corner basis tokens are the ambient basis tokens whose f-image was kept
-    by the deterministic greedy independence scan.
+    by the deterministic greedy independence scan.  Each structure constant
+    `algebra.mul_basis(i, j)` is the projection of the ambient product of
+    the two embedded tokens, computed once per ordered pair.
     """
 
     def __init__(self, ambient: Algebra, idem: FinVec, name=None, require_central=True):
@@ -438,7 +450,7 @@ class Corner:
 
         self.algebra = Algebra(
             name=name or f"corner({ambient.name})",
-            mul_basis=mul_basis,
+            mul_basis=once_per_pair(mul_basis),
             basis=self.reps,
             one=self.project(idem),
         )

@@ -535,11 +535,13 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
         if len(basis) > dim_bound:
             bounded = False
             break
+        # on the round that adds nothing, this Span is over the final basis
+        span = spans.Span(basis)
         fresh = []
         for v in basis:
             for w in basis:
                 prod = com.algebra.mul(v, w)
-                if prod and spans.in_span(prod, basis) is None:
+                if prod and not span.contains(prod):
                     fresh.append(prod)
         if not fresh:
             break
@@ -563,7 +565,7 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
     for v in basis:
         for a in win:
             for tok, comp in _components(com.rho_r_vec(v, FinVec.basis(a))).items():
-                if comp and spans.in_span(comp, basis) is None:
+                if comp and not span.contains(comp):
                     sub_wit.append({"cover": a, "component_at": tok})
     if sub_wit:
         results.append(CheckResult.failed("subcomodule_window", sub_wit[:4]))
@@ -584,7 +586,7 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
             )
             if rec.scale(scale) != u:
                 rec_wit.append({"generator": i})
-            elif u and spans.in_span(u, basis) is None:
+            elif u and not span.contains(u):
                 rec_wit.append({"generator": i, "missing": "not inside the closure"})
         if rec_wit:
             results.append(CheckResult.failed("generators_recovered", rec_wit[:4]))
@@ -678,15 +680,17 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     results = []
 
     theta_vecs = G.theta_basis()
+    q_span = spans.Span(G.q_basis)
+    theta_span = spans.Span(theta_vecs)
     closed_wit = []
     for v in G.q_basis:
         for w in G.q_basis:
             prod = com.algebra.mul(v, w)
-            if prod and spans.in_span(prod, G.q_basis) is None:
+            if prod and not q_span.contains(prod):
                 closed_wit.append({"law": "product closure"})
         for a in win:
             for tok, comp in _components(com.rho_r_vec(v, FinVec.basis(a))).items():
-                if comp and spans.in_span(comp, G.q_basis) is None:
+                if comp and not q_span.contains(comp):
                     closed_wit.append({"law": "subcomodule", "cover": a, "component_at": tok})
     if closed_wit:
         results.append(CheckResult.failed("comodule_algebra", closed_wit[:4]))
@@ -709,7 +713,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     for x in lbasis:
         for v in G.q_basis:
             prod = com.algebra.mul(G.theta_map[x], v)
-            if prod and spans.in_span(prod, theta_vecs) is None:
+            if prod and not theta_span.contains(prod):
                 ideal_wit.append({"left": x})
     if ideal_wit:
         results.append(CheckResult.failed("theta_right_ideal", ideal_wit[:4]))
@@ -742,7 +746,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
         inner = _pi_tensor(G, com.rho_r_vec(v, G.e))
         terms = []
         for w, comp in _components(inner).items():
-            coords = spans.in_span(comp, theta_vecs)
+            coords = theta_span.coords(comp)
             if coords is None:
                 eproj_wit.append({"basis_index": i, "reason": "projection left theta(L)"})
                 break

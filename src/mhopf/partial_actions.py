@@ -35,6 +35,7 @@ from .algebras import (
     convolution_algebra,
     group_algebra_plain,
     multiplier_check,
+    once_per_pair,
     subgroup_average_idempotent,
 )
 from .errors import CapabilityError, StructuralError
@@ -580,11 +581,12 @@ def subalgebra_from_vectors(ambient: Algebra, vecs, prefix="s"):
     Returns (algebra, embed, project); project raises on vectors outside
     the span."""
     basis_vecs = spans.span_basis(vecs)
+    span = spans.Span(basis_vecs)
     tokens = tuple((prefix, i) for i in range(len(basis_vecs)))
     by_token = dict(zip(tokens, basis_vecs))
 
     def project(v: FinVec) -> FinVec:
-        coeffs = spans.in_span(v, basis_vecs)
+        coeffs = span.coords(v)
         if coeffs is None:
             raise StructuralError("vector escapes the declared subalgebra")
         return FinVec(zip(tokens, coeffs))
@@ -595,12 +597,12 @@ def subalgebra_from_vectors(ambient: Algebra, vecs, prefix="s"):
         return project(ambient.mul(by_token[i], by_token[j]))
 
     one = None
-    if ambient.one is not None and spans.in_span(ambient.one, basis_vecs) is not None:
+    if ambient.one is not None and span.contains(ambient.one):
         one = project(ambient.one)
 
     alg = Algebra(
         name=f"{ambient.name}|{prefix}",
-        mul_basis=mul_basis,
+        mul_basis=once_per_pair(mul_basis),
         basis=tokens,
         one=one,
         pointwise=False,

@@ -83,10 +83,6 @@ class FinVec:
         return FinVec._of({tok: coeff} if coeff else {})
 
     @staticmethod
-    def zero() -> "FinVec":
-        return FinVec()
-
-    @staticmethod
     def _of(coeffs: dict) -> "FinVec":
         """Wrap a coefficient dict that holds no zero, without copying."""
         res = FinVec.__new__(FinVec)

@@ -22,7 +22,7 @@ from mhopf.algebras import (
     tensor_square_algebra,
 )
 from mhopf.errors import NoLocalUnitError, StructuralError
-from mhopf.groups import alternating_elements, cyclic_group
+from mhopf.groups import alternating_elements, cyclic_group, subgroup_elements
 from mhopf.vectors import FinVec
 
 F = Fraction
@@ -143,6 +143,29 @@ def test_corner_embeds_and_projects_exactly(S3, corner_A3):
     # the corner is unital with unit = projected idempotent
     for tok in L.basis:
         assert L.mul(L.one, FinVec.basis(tok)) == FinVec.basis(tok)
+
+
+@pytest.mark.parametrize("which", ["kS3_identity", "C8_generated_2"])
+def test_corner_structure_constants_are_the_projected_products(S3, which):
+    # kS3 with f = delta_e is all of kS3, so the corner does not commute
+    if which == "kS3_identity":
+        ambient = group_algebra_plain(S3)
+        corner = Corner(ambient, FinVec.basis(S3.identity))
+    else:
+        C8 = cyclic_group(8)
+        ambient = group_algebra_plain(C8)
+        corner = Corner(
+            ambient, subgroup_average_idempotent(ambient, subgroup_elements(C8, "generated:[2]"))
+        )
+    L = corner.algebra
+    for i, j in itertools.product(L.basis, repeat=2):
+        fresh = corner.project(
+            ambient.mul(corner.embed(FinVec.basis(i)), corner.embed(FinVec.basis(j)))
+        )
+        first = L.mul_basis(i, j)
+        assert first == fresh, (i, j)
+        assert L.mul_basis(i, j) == first, (i, j)
+    assert check_associative(L).ok()
 
 
 def test_corner_rejects_noncentral_or_nonidempotent(S3):

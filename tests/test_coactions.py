@@ -257,6 +257,20 @@ class TestCoenvelope:
         for res in check_coglobalization(with_identity_pi(G)):
             assert res.outcome == "pass", (res.name, res.witnesses)
 
+    def test_battery_passes_on_S4(self):
+        # the structures of scenario_bench/pending/coaction_S4.json
+        S4 = parse_group("symmetric:4")
+        kS4 = group_algebra_plain(S4)
+        corner = Corner(
+            kS4, subgroup_average_idempotent(kS4, alternating_elements(4)), name="cornerA4"
+        )
+        e = FinVec.basis(S4.identity)
+        C = trivial_coaction(corner.algebra, instance_for("A_G", S4), e)
+        results = check_coglobalization(coaction_globalize(C, e))
+        assert len(results) == 8
+        for res in results:
+            assert res.outcome == "pass", (res.name, res.witnesses)
+
     def test_global_envelope_is_theta_image(self, global_coaction):
         # With E the identity, Q collapses onto theta(L).
         C4 = parse_group("cyclic:4")
