@@ -197,8 +197,8 @@ def local_unit(algebra: Algebra, elems, window=None) -> FinVec:
 
     Pointwise algebras: the indicator of the union of supports (closed
     form, works on infinite bases).  Unital algebras: the unit.  Otherwise
-    the linear system is solved over the span of a finite window; raises
-    NoLocalUnitError when inconsistent.
+    the linear system is solved over the span of a finite window, free
+    coordinates 0; raises NoLocalUnitError when inconsistent.
     """
     elems = [e for e in elems if e]
     if not elems:
@@ -208,27 +208,23 @@ def local_unit(algebra: Algebra, elems, window=None) -> FinVec:
     if algebra.one is not None:
         return algebra.one
     window = algebra.basis_window(window)
-    # unknowns: coefficients of e over the window
-    eq_rows = []
-    rhs = []
-    out_tokens = set()
-    for x in elems:
-        out_tokens.update(x.support())
-        for b in window:
-            out_tokens.update(algebra.mul(FinVec.basis(b), x).support())
-            out_tokens.update(algebra.mul(x, FinVec.basis(b)).support())
-    out_tokens = sorted(out_tokens, key=token_key)
-    for x in elems:
-        left_imgs = [algebra.mul(FinVec.basis(b), x) for b in window]
-        right_imgs = [algebra.mul(x, FinVec.basis(b)) for b in window]
-        for t in out_tokens:
-            eq_rows.append([img[t] for img in left_imgs])
-            rhs.append(x[t])
-            eq_rows.append([img[t] for img in right_imgs])
-            rhs.append(x[t])
-    from . import linalg
 
-    sol = linalg.solve(eq_rows, rhs)
+    def stacked(left, right):
+        """left(x_k) on tokens ("L", k, t) plus right(x_k) on ("R", k, t),
+        summed over the elems x_k: all the equations on one vector."""
+        return lincomb(
+            (side(x).map_tokens(lambda t, tag=(name, k): (*tag, t)), 1)
+            for k, x in enumerate(elems)
+            for name, side in (("L", left), ("R", right))
+        )
+
+    # e = sum of c_b b over the window: column b stacks b*x_k and x_k*b,
+    # the target stacks x_k on both sides
+    columns = spans.Span(
+        stacked(lambda x, b=b: algebra.mul(b, x), lambda x, b=b: algebra.mul(x, b))
+        for b in map(FinVec.basis, window)
+    )
+    sol = columns.coords(stacked(lambda x: x, lambda x: x))
     if sol is None:
         raise NoLocalUnitError(
             f"no local unit in span of window for {len(elems)} elements"
@@ -274,8 +270,7 @@ def check_s_unital_left(algebra: Algebra, window=None, elems=None) -> CheckResul
     for x in elems:
         if not x:
             continue
-        products = [algebra.mul(FinVec.basis(b), x) for b in window]
-        if spans.in_span(x, products) is None:
+        if not spans.Span(algebra.mul(FinVec.basis(b), x) for b in window).contains(x):
             witnesses.append({"element": x})
     if witnesses:
         return CheckResult.failed("s_unital_left", witnesses, window=len(window))

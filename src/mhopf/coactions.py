@@ -388,7 +388,7 @@ def check_coaction_range(C: PartialCoactionData, window=None):
         w1 = spans.subspace_le(sub, sup)
         w2 = spans.subspace_le(sup, sub)
         if w1 is None and w2 is None:
-            results.append(CheckResult.passed(nm, dim=spans.span_dim(sup)))
+            results.append(CheckResult.passed(nm, dim=spans.Span(sup).rank))
         else:
             wit = []
             if w1 is not None:

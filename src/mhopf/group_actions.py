@@ -51,9 +51,6 @@ class PartialGroupAction:
     def corner(self, g) -> tuple:
         return self.corners[g]
 
-    def apply_alpha(self, g, vec: FinVec) -> FinVec:
-        return self.alpha[g](vec)
-
 
 def sigma_image_basis(algebra: Algebra, m: Multiplier) -> tuple:
     """Basis of m(R), computed from the left action on the algebra basis."""
@@ -83,11 +80,16 @@ def _product_image_basis(P: PartialGroupAction, g, h) -> list:
     return spans.span_basis([m.apply_left(FinVec.basis(t)) for t in window])
 
 
-def alpha_inverse_image(P: PartialGroupAction, g, target: FinVec) -> Optional[FinVec]:
-    """Solve alpha_g(v) == target for v in the g^-1 corner, or None."""
+def alpha_inverse_image(P: PartialGroupAction, g, target: FinVec, factored: dict) -> Optional[FinVec]:
+    """Solve alpha_g(v) == target for v in the g^-1 corner, or None.
+
+    `factored` maps g to the Span of alpha_g(corner_{g^-1}), built on the
+    first question about g; an alpha_g that raises leaves no entry."""
     dom = P.corners[P.group.inv(g)]
-    imgs = [P.alpha[g](v) for v in dom]
-    coeffs = spans.in_span(target, imgs)
+    span = factored.get(g)
+    if span is None:
+        span = factored[g] = spans.Span(P.alpha[g](v) for v in dom)
+    coeffs = span.coords(target)
     if coeffs is None:
         return None
     return lincomb(zip(dom, coeffs))
@@ -135,7 +137,7 @@ def check_pga(P: PartialGroupAction) -> list:
         except (WindowError, StructuralError) as exc:
             witnesses.append({"g": g, "error": str(exc)})
             continue
-        if spans.span_dim(imgs) != len(dom):
+        if spans.Span(imgs).rank != len(dom):
             witnesses.append({"g": g, "law": "alpha_g not injective"})
         if not spans.subspace_equal(imgs, P.corners[g]):
             witnesses.append({"g": g, "law": "alpha_g image is not the g corner"})
@@ -184,12 +186,13 @@ def check_pga(P: PartialGroupAction) -> list:
         results.append(CheckResult.passed("intersection_translation"))
 
     witnesses = []
+    factored = {}
     for g in group.elements:
         for h in group.elements:
             target = _product_image_basis(P, h, group.inv(g))
             gh = group.mul(g, h)
             for w in target:
-                x = alpha_inverse_image(P, h, w)
+                x = alpha_inverse_image(P, h, w, factored)
                 if x is None:
                     witnesses.append({"g": g, "h": h, "law": "target outside alpha_h image", "target": w})
                     continue
@@ -229,12 +232,13 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
         results.append(CheckResult.passed("sigma_central_idempotent"))
 
     witnesses = []
+    factored = {}
     for g in group.elements:
         for h in group.elements:
             m = multiplier_product(P.sigma[group.inv(g)], P.sigma[h])
             rhs_m = multiplier_product(P.sigma[g], P.sigma[group.mul(g, h)])
             for y in P.corners[g]:
-                pre = alpha_inverse_image(P, g, y)
+                pre = alpha_inverse_image(P, g, y, factored)
                 if pre is None:
                     raise CapabilityError(
                         f"alpha at {g} is not invertible on its corner; "
@@ -287,8 +291,7 @@ def check_globalizability(P: PartialGroupAction) -> list:
     for g in group.elements:
         corner = list(P.corners[g])
         for x in corner:
-            products = [P.algebra.mul(u, x) for u in corner]
-            if spans.in_span(x, products) is None:
+            if not spans.Span(P.algebra.mul(u, x) for u in corner).contains(x):
                 witnesses.append({"g": g, "element": x})
     if witnesses:
         results.append(CheckResult.failed("corners_s_unital", witnesses))

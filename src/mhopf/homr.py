@@ -71,10 +71,6 @@ class HomRElem:
     def is_zero(self) -> bool:
         return not self._table
 
-    def evaluate(self, b: FinVec) -> FinVec:
-        """The element as a map: b |-> sum_g b(g) F(g)."""
-        return linear(self.value)(b)
-
     def __add__(self, other: "HomRElem") -> "HomRElem":
         _same_spaces(self, other)
         return hom_lincomb(self.source, self.target, ((self, 1), (other, 1)))

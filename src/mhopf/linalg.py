@@ -1,9 +1,10 @@
-"""Exact rational linear algebra on small dense matrices.
+"""The exact RREF kernel behind `spans.span_basis`.
 
 One row-reduction kernel, `_rref_pairs`, works on numerator/denominator
 pair matrices of Python ints (arbitrary precision), every entry kept
-reduced with a positive denominator; `rref`, `rank`, `nullspace` and
-`solve` convert Fraction rows to and from that form.
+reduced with a positive denominator; `rref` converts Fraction rows to and
+from that form.  Membership, rank, coordinates and kernels are answered
+by `spans.Span`, not here.
 """
 
 from __future__ import annotations
@@ -94,43 +95,3 @@ def rref(rows):
     num, den = _to_pairs(rows)
     num, den, pivots = _rref_pairs(num, den)
     return _from_pairs(num, den), pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows, ncols=None):
-    """Basis of {x : A x = 0} for A given as a list of rows."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return []
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(rows, rhs):
-    """One exact solution of A x = rhs, or None when inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return None if any(rhs) else []
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x

@@ -112,9 +112,6 @@ class Globalization(LinearAction):
             x = FinVec.basis(x)
         return linear(self.theta_map.__getitem__)(x)
 
-    def pi_L(self, v: FinVec) -> FinVec:
-        return self.pi_rule(v)
-
     def pi(self, v: FinVec) -> FinVec:
         return self.theta(self.pi_rule(v))
 
@@ -173,8 +170,7 @@ def check_partial_action(
                                 a_window=len(aw), l_window=len(lw))
     )
 
-    action_span = [P.act(a, x) for a in aw for x in lw]
-    action_span = [v for v in action_span if not v.is_zero()]
+    action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
 
     witnesses = []
     if M.cov_iS is None:
@@ -191,7 +187,7 @@ def check_partial_action(
                                           "lhs": lhs, "rhs": rhs})
             for x in lw:
                 img = P.e_map(a).apply_left(FinVec.basis(x))
-                if not img.is_zero() and spans.in_span(img, action_span) is None:
+                if not action_span.contains(img):
                     witnesses.append({"a": a, "x": x, "outside_span": img})
         results.append(
             CheckResult.failed("e_left_compatibility", witnesses[:3]) if witnesses
@@ -334,13 +330,12 @@ def check_symmetric(
                                 a_window=len(aw), l_window=len(lw))
     )
 
-    action_span = [P.act(a, x) for a in aw for x in lw]
-    action_span = [v for v in action_span if not v.is_zero()]
+    action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
     witnesses = []
     for a in aw:
         for x in lw:
             img = P.e_map(a).apply_right(FinVec.basis(x))
-            if not img.is_zero() and spans.in_span(img, action_span) is None:
+            if not action_span.contains(img):
                 witnesses.append({"a": a, "x": x, "outside_span": img})
     results.append(
         CheckResult.failed("right_span", witnesses[:3]) if witnesses
@@ -495,7 +490,7 @@ def check_a_projection(
             witnesses.append({"image_vec": v, "pi": proj.rule(v)})
     results.append(
         CheckResult.failed("pi_image", witnesses[:3]) if witnesses
-        else CheckResult.passed("pi_image", image_dim=spans.span_dim(image_vecs))
+        else CheckResult.passed("pi_image", image_dim=spans.Span(image_vecs).rank)
     )
 
     witnesses = []
@@ -948,12 +943,13 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
         else CheckResult.passed("theta_monomorphism", dim=len(lbasis))
     )
 
-    theta_span = [G.theta_map[x] for x in lbasis]
+    theta_vecs = [G.theta_map[x] for x in lbasis]
+    theta_span = spans.Span(theta_vecs)
     witnesses = []
     for x in lbasis:
         for v in nonzero_gens:
             prod = G.algebra.mul(G.theta_map[x], v)
-            if not prod.is_zero() and spans.in_span(prod, theta_span) is None:
+            if not theta_span.contains(prod):
                 witnesses.append({"x": x, "v": v, "product": prod})
     results.append(
         CheckResult.failed("theta_right_ideal", witnesses[:3]) if witnesses
@@ -965,7 +961,7 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
         for x in lbasis:
             for v in nonzero_gens:
                 prod = G.algebra.mul(v, G.theta_map[x])
-                if not prod.is_zero() and spans.in_span(prod, theta_span) is None:
+                if not theta_span.contains(prod):
                     witnesses.append({"x": x, "v": v, "product": prod})
         results.append(
             CheckResult.failed("theta_two_sided_ideal", witnesses[:3]) if witnesses
@@ -988,13 +984,14 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
     )
 
     witnesses = []
+    gen_span = spans.Span(nonzero_gens)
     for x in lbasis:
-        if spans.in_span(G.theta_map[x], nonzero_gens) is None:
+        if not gen_span.contains(G.theta_map[x]):
             witnesses.append({"theta_outside": x})
     for v in nonzero_gens:
         for w in nonzero_gens:
             prod = G.algebra.mul(v, w)
-            if not prod.is_zero() and spans.in_span(prod, nonzero_gens) is None:
+            if not gen_span.contains(prod):
                 witnesses.append({"product_outside": (v, w)})
     results.append(
         CheckResult.failed("generation", witnesses[:3]) if witnesses
@@ -1006,12 +1003,12 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
         pv = G.pi(v)
         if G.pi(pv) != pv:
             witnesses.append({"v": v, "pi": pv, "pipi": G.pi(pv)})
-        if not pv.is_zero() and spans.in_span(pv, theta_span) is None:
+        if not theta_span.contains(pv):
             witnesses.append({"v": v, "pi_outside_theta": pv})
     for x in lbasis:
         if G.pi(G.theta_map[x]) != G.theta_map[x]:
             witnesses.append({"x": x, "pi_theta": G.pi(G.theta_map[x])})
-    nonzero_theta = [v for v in theta_span if not v.is_zero()]
+    nonzero_theta = [v for v in theta_vecs if not v.is_zero()]
     for a in aw:
         for b in aw:
             for v in nonzero_theta:
@@ -1080,8 +1077,10 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
         else CheckResult.passed("well_defined", relations=len(kernel1))
     )
 
+    generators1 = spans.Span(G1.generators)
+
     def phi(v: FinVec):
-        coeffs = spans.in_span(v, list(G1.generators))
+        coeffs = generators1.coords(v)
         if coeffs is None:
             return None
         return via2(FinVec(zip(idx, coeffs)))

@@ -612,7 +612,9 @@ def builtin_scenarios() -> dict:
 
 def builtin_catalog() -> list[str]:
     """Stable listing of built-in groups, instances, checks and scenarios."""
-    groups = ["cyclic:2", "cyclic:3", "cyclic:4", "integers", "symmetric:3"]
+    # Only groups a scenario can check: every check on "integers" needs an
+    # explicit window, which no scenario can give it yet.
+    groups = ["cyclic:2", "cyclic:3", "cyclic:4", "symmetric:3"]
     lines = [f"group:{g}" for g in groups]
     lines += [f"instance:A_G:{g}" for g in groups]
     lines += [f"instance:kG:{g}" for g in groups]

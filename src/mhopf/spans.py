@@ -2,10 +2,11 @@
 
 `Span` factors a list of vectors once, as a sparse reduced echelon form
 kept on the vectors' own tokens, and then answers membership, coordinates,
-rank and kernel by reduction against its rows.  Use it wherever one span
-is queried many times.  The one-shot helpers below (`span_basis`,
-`in_span`, `kernel_of_map`) lay the vectors out as a dense matrix and run
-one `linalg` elimination per call.
+rank and kernel by reduction against its rows.  Every such question goes
+through it.  The one dense helper is `span_basis`: it lays the vectors out
+as a matrix in `token_key` order and returns the canonical reduced echelon
+rows from one `linalg.rref` call.  It stays where those rows are seen, as
+corner and subcomodule bases in reports or as the basis a map is read on.
 """
 
 from __future__ import annotations
@@ -25,37 +26,16 @@ def collect_tokens(vecs: Iterable[FinVec]):
     return sorted(toks, key=token_key)
 
 
-def to_rows(vecs: Sequence[FinVec], tokens=None):
-    if tokens is None:
-        tokens = collect_tokens(vecs)
-    return [[v[t] for t in tokens] for v in vecs], tokens
-
-
 def span_basis(vecs: Sequence[FinVec]):
     """Canonical basis (reduced echelon rows) of the span."""
     vecs = [v for v in vecs if v]
     if not vecs:
         return []
-    rows, tokens = to_rows(vecs)
-    red, pivots = linalg.rref(rows)
+    tokens = collect_tokens(vecs)
+    red, pivots = linalg.rref([[v[t] for t in tokens] for v in vecs])
     return [
         FinVec(zip(tokens, red[i])) for i in range(len(pivots))
     ]
-
-
-def span_dim(vecs: Sequence[FinVec]) -> int:
-    return len(span_basis(vecs))
-
-
-def in_span(target: FinVec, vecs: Sequence[FinVec]):
-    """Coefficients c with sum(c_i * vecs_i) == target, or None."""
-    vecs = list(vecs)
-    tokens = collect_tokens(list(vecs) + [target])
-    if not tokens:
-        return [Fraction(0)] * len(vecs)
-    rows = [[v[t] for v in vecs] for t in tokens]
-    rhs = [target[t] for t in tokens]
-    return linalg.solve(rows, rhs)
 
 
 def subspace_le(sub: Sequence[FinVec], sup: Sequence[FinVec]):
@@ -68,17 +48,15 @@ def subspace_le(sub: Sequence[FinVec], sup: Sequence[FinVec]):
 
 
 def subspace_equal(a: Sequence[FinVec], b: Sequence[FinVec]) -> bool:
-    return span_basis(list(a)) == span_basis(list(b))
+    span = Span(a)
+    return span.rank == Span(b).rank and all(span.contains(v) for v in b)
 
 
 def kernel_of_map(domain_tokens, image: Callable[[object], FinVec]):
-    """Basis of the kernel of the linear map token -> image(token)."""
-    domain_tokens = sorted(domain_tokens, key=token_key)
-    images = [image(t) for t in domain_tokens]
-    out_tokens = collect_tokens(images)
-    rows = [[img[t] for img in images] for t in out_tokens]
-    coeff_vecs = linalg.nullspace(rows, ncols=len(domain_tokens))
-    return [FinVec(zip(domain_tokens, c)) for c in coeff_vecs]
+    """Basis of the kernel of the linear map token -> image(token), one
+    relation per dependent image in `token_key` order of the domain."""
+    domain = sorted(domain_tokens, key=token_key)
+    return Span(image(t) for t in domain).kernel(domain)
 
 
 def _axpy(acc: dict, coeff, src: dict):
@@ -153,8 +131,8 @@ class Span:
     def coords(self, vec: FinVec):
         """Coefficients over the added vectors summing to vec, or None.
 
-        Dependent vectors get 0, which is the particular solution `in_span`
-        returns for the same list."""
+        Dependent vectors get 0: the particular solution of a dense
+        elimination over the same list, free columns set to 0."""
         res, used = self._reduce(vec)
         if res:
             return None
@@ -166,8 +144,8 @@ class Span:
 
     def kernel(self, domain: Sequence) -> list[FinVec]:
         """One relation per dependent vector, with domain[i] naming the
-        i-th added vector; for vectors added in `token_key` order of their
-        domain tokens this is the basis `kernel_of_map` returns."""
+        i-th added vector; `kernel_of_map` adds them in `token_key` order
+        of their domain tokens."""
         return [
             FinVec((domain[i], dep[i]) for i in sorted(dep)) for dep in self._deps
         ]

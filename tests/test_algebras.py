@@ -83,6 +83,20 @@ def test_local_units(S3):
         local_unit(zero_prod, [FinVec.basis("z")])
 
 
+def test_local_unit_solves_over_the_window_when_no_unit_is_given():
+    # k[x]/(x^3) with its unit withheld: e*x == x == x*e forces e = 1 + c x^2
+    # with c free, since x^2 * x = 0; the free coordinate is set to 0
+    table = {
+        (i, j): (FinVec.basis(i + j) if i + j < 3 else FinVec())
+        for i in range(3)
+        for j in range(3)
+    }
+    A = struct_const_algebra("truncated-poly", (0, 1, 2), table)
+    assert local_unit(A, [FinVec.basis(1)]) == FinVec.basis(0)
+    x_and_square = FinVec({1: 1, 2: F(-3, 2)})
+    assert local_unit(A, [x_and_square, FinVec.basis(2)]) == FinVec.basis(0)
+
+
 def test_nondegenerate_and_s_unital(S3):
     assert check_nondegenerate(pointwise_algebra(S3)).ok()
     assert check_s_unital_left(group_algebra_plain(S3)).ok()

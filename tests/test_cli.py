@@ -135,6 +135,25 @@ class TestCatalog:
         lines = a.stdout.splitlines()
         assert lines == sorted(lines)
 
+    def test_every_listed_instance_passes_mha_axioms(self, tmp_path):
+        listed = [line.split(":", 2)[1:] for line in run_cli("list").stdout.splitlines()
+                  if line.startswith("instance:")]
+        assert listed
+        for kind, group in listed:
+            doc = {
+                "schema": 1,
+                "name": f"listed_{kind}",
+                "structures": [
+                    {"id": "G", "type": "group", "spec": group},
+                    {"id": "M", "type": "instance", "kind": kind, "group": "G"},
+                ],
+                "checks": [{"check": "mha_axioms", "target": "M"}],
+            }
+            f = tmp_path / "listed.json"
+            f.write_text(json.dumps(doc))
+            res = run_cli("run", str(f))
+            assert res.returncode == 0, (kind, group, res.stderr)
+
     def test_explain_known_check(self):
         res = run_cli("explain", "partial_coaction")
         assert res.returncode == 0

@@ -65,12 +65,11 @@ class TestEnvelope:
         # theta(L) R_gen stays inside theta(L).
         from mhopf import spans
 
-        theta_span = [envelope.theta_map[x] for x in action.algebra.basis]
+        theta_span = spans.Span(envelope.theta_map[x] for x in action.algebra.basis)
         for x in action.algebra.basis:
             for v in envelope.generators:
                 prod = envelope.algebra.mul(envelope.theta_map[x], v)
-                if not prod.is_zero():
-                    assert spans.in_span(prod, theta_span) is not None
+                assert theta_span.contains(prod)
 
     def test_broken_action_rejected(self, action):
         broken = dataclasses.replace(

@@ -21,6 +21,7 @@ from mhopf.group_actions import (
     to_hopf,
     zero_corner_pga,
 )
+from mhopf.groups import parse_group
 from mhopf.partial_actions import check_partial_action, check_symmetric
 from mhopf.vectors import FinVec
 
@@ -48,6 +49,19 @@ class TestSubsetTranslation:
 
     def test_full_battery_passes(self, translation):
         for res in battery(translation):
+            assert res.outcome == "pass", (res.name, res.witnesses)
+
+    def test_full_battery_passes_on_S4(self):
+        # the structures of scenario_bench/pending/pga_S4_full.json
+        S4 = parse_group("symmetric:4")
+        results = battery(subset_translation_pga(S4, S4.elements))
+        assert [res.name for res in results] == [
+            "identity_component", "alpha_isomorphisms", "alpha_multiplicative",
+            "intersection_translation", "composition", "sigma_central_idempotent",
+            "sigma_translation", "sigma_absorbs_alpha", "corner_containment",
+            "corners_s_unital", "gamma_range", "gamma_restriction",
+        ]
+        for res in results:
             assert res.outcome == "pass", (res.name, res.witnesses)
 
     def test_alpha_moves_point_masses(self, translation, S3):

@@ -1,8 +1,10 @@
-"""The factored `spans.Span` against the one-shot dense helpers.
+"""The factored `spans.Span` against dense references.
 
-Every query of a Span must give exactly what a fresh `linalg` elimination
-gives for the same list: the same particular solution, rank and kernel
-basis, and the same greedy choice of independent vectors.
+Every query of a Span must give exactly what a fresh `linalg.rref`
+elimination gives for the same list: the same particular solution, rank
+and kernel basis, and the same greedy choice of independent vectors.  The
+references below lay the vectors out as dense matrices in `token_key`
+order and use no Span.
 """
 
 from fractions import Fraction
@@ -10,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhopf import spans
+from mhopf import linalg, spans
 from mhopf.vectors import FinVec, token_key, vec_sum
 
 F = Fraction
@@ -44,11 +46,51 @@ def lists_and_targets(draw):
     return vecs, target
 
 
+def layout(vecs):
+    """Dense columns: one row per token of the union of supports."""
+    tokens = sorted({t for v in vecs for t in v.support()}, key=token_key)
+    return [[v[t] for v in vecs] for t in tokens]
+
+
+def in_span(target, vecs):
+    """One augmented elimination: coefficients with free columns 0, or None."""
+    n = len(vecs)
+    rows = layout(list(vecs) + [target])
+    if not rows:
+        return [F(0)] * n
+    red, pivots = linalg.rref(rows)
+    if n in pivots:
+        return None
+    coeffs = [F(0)] * n
+    for r, c in enumerate(pivots):
+        coeffs[c] = red[r][n]
+    return coeffs
+
+
+def span_dim(vecs):
+    return len(linalg.rref(layout(vecs))[1])
+
+
+def kernel_of_map(domain_tokens, image):
+    """One relation per free column, over a `token_key`-sorted domain."""
+    domain = sorted(domain_tokens, key=token_key)
+    n = len(domain)
+    rows = layout([image(t) for t in domain]) or [[F(0)] * n]
+    red, pivots = linalg.rref(rows) if n else ([], [])
+    relations = []
+    for free in (c for c in range(n) if c not in pivots):
+        rel = {domain[free]: F(1)}
+        for r, c in enumerate(pivots):
+            rel[domain[c]] = -red[r][free]
+        relations.append(FinVec(rel))
+    return relations
+
+
 def greedy_reference(items):
     """The greedy independence scan by one dense solve per item."""
     kept, basis = [], []
     for key, vec in items:
-        if vec and spans.in_span(vec, basis) is None:
+        if vec and in_span(vec, basis) is None:
             kept.append((key, vec))
             basis.append(vec)
     return kept
@@ -61,7 +103,7 @@ SETTINGS = settings(deadline=None, derandomize=True, max_examples=100)
 @given(lists_and_targets())
 def test_coords_equal_in_span(case):
     vecs, target = case
-    assert spans.Span(vecs).coords(target) == spans.in_span(target, vecs)
+    assert spans.Span(vecs).coords(target) == in_span(target, vecs)
 
 
 @SETTINGS
@@ -75,7 +117,7 @@ def test_contains_iff_coords(case):
 @SETTINGS
 @given(vec_lists())
 def test_rank_equals_span_dim(vecs):
-    assert spans.Span(vecs).rank == spans.span_dim(vecs)
+    assert spans.Span(vecs).rank == span_dim(vecs)
 
 
 @SETTINGS
@@ -86,7 +128,16 @@ def test_kernel_equals_kernel_of_map(vecs, rnd):
     image = dict(zip(labels, vecs))
     domain = sorted(labels, key=token_key)
     span = spans.Span(image[t] for t in domain)
-    assert span.kernel(domain) == spans.kernel_of_map(labels, image.__getitem__)
+    reference = kernel_of_map(labels, image.__getitem__)
+    assert span.kernel(domain) == reference
+    assert spans.kernel_of_map(labels, image.__getitem__) == reference
+
+
+@SETTINGS
+@given(vec_lists(), vec_lists())
+def test_subspace_equal_iff_same_canonical_basis(a, b):
+    assert spans.subspace_equal(a, b) == (spans.span_basis(a) == spans.span_basis(b))
+    assert spans.subspace_equal(a, a + [vec_sum(a)])
 
 
 @SETTINGS
