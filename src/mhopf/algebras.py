@@ -52,7 +52,7 @@ class Algebra:
         return self.basis
 
 
-def once_per_pair(rule: Callable[[object, object], FinVec]):
+def once_per_pair(rule: Callable[[object, object], object]):
     """`rule` computed once per ordered pair of tokens.
 
     The results fill a dict on demand, with no eviction: over a finite

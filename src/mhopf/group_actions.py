@@ -26,6 +26,7 @@ from .algebras import (
     is_idempotent_multiplier,
     multiplier_check,
     multiplier_product,
+    once_per_pair,
     struct_const_algebra,
 )
 from .errors import CapabilityError, StructuralError, WindowError
@@ -111,6 +112,7 @@ def check_pga(P: PartialGroupAction) -> list:
     of corner intersections, and compatibility of composed maps."""
     group = P.group
     basis = [FinVec.basis(t) for t in P.algebra.basis_window(None)]
+    product_basis = once_per_pair(lambda g, h: _product_image_basis(P, g, h))
     results = []
 
     witnesses = []
@@ -171,13 +173,13 @@ def check_pga(P: PartialGroupAction) -> list:
     witnesses = []
     for g in group.elements:
         for h in group.elements:
-            dom_int = _product_image_basis(P, group.inv(g), h)
+            dom_int = product_basis(group.inv(g), h)
             try:
                 lhs = [P.alpha[g](v) for v in dom_int]
             except (WindowError, StructuralError) as exc:
                 witnesses.append({"g": g, "h": h, "error": str(exc)})
                 continue
-            rhs = _product_image_basis(P, g, group.mul(g, h))
+            rhs = product_basis(g, group.mul(g, h))
             if not spans.subspace_equal(lhs, rhs):
                 witnesses.append({"g": g, "h": h})
     if witnesses:
@@ -189,7 +191,7 @@ def check_pga(P: PartialGroupAction) -> list:
     factored = {}
     for g in group.elements:
         for h in group.elements:
-            target = _product_image_basis(P, h, group.inv(g))
+            target = product_basis(h, group.inv(g))
             gh = group.mul(g, h)
             for w in target:
                 x = alpha_inverse_image(P, h, w, factored)

@@ -2,9 +2,10 @@
 
 One row-reduction kernel, `_rref_pairs`, works on numerator/denominator
 pair matrices of Python ints (arbitrary precision), every entry kept
-reduced with a positive denominator; `rref` converts Fraction rows to and
-from that form.  Membership, rank, coordinates and kernels are answered
-by `spans.Span`, not here.
+reduced with a positive denominator; `rref` converts rows of exact
+rationals to that form and back, an entry with denominator 1 as an int.
+Membership, rank, coordinates and kernels are answered by `spans.Span`,
+not here.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _to_pairs(rows):
 
 def _from_pairs(num, den):
     return [
-        [Fraction(n, d) for n, d in zip(nrow, drow)]
+        [n if d == 1 else Fraction(n, d) for n, d in zip(nrow, drow)]
         for nrow, drow in zip(num, den)
     ]
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .vectors import FinVec, token_key
+from .vectors import FinVec, as_scalar, token_key
 
 
 def collect_tokens(vecs: Iterable[FinVec]):
@@ -102,7 +102,7 @@ class Span:
     def add(self, vec: FinVec) -> bool:
         """Append vec; True when it is independent of the earlier vectors."""
         res, used = self._reduce(vec)
-        combo = {self._count: Fraction(1)}
+        combo = {self._count: 1}
         self._count += 1
         for c, (_, row_combo) in used:
             _axpy(combo, c, row_combo)
@@ -110,7 +110,7 @@ class Span:
             self._deps.append(combo)
             return False
         pivot = next(iter(res))
-        inv = 1 / res[pivot]
+        inv = as_scalar(Fraction(1) / res[pivot])
         row = {t: c * inv for t, c in res.items()}
         combo = {i: c * inv for i, c in combo.items()}
         for other, other_combo in self._rows.values():
@@ -132,7 +132,9 @@ class Span:
         """Coefficients over the added vectors summing to vec, or None.
 
         Dependent vectors get 0: the particular solution of a dense
-        elimination over the same list, free columns set to 0."""
+        elimination over the same list, free columns set to 0.  The
+        coefficients are Fractions even when integral, since they can reach
+        a report, where an int would render as a JSON number."""
         res, used = self._reduce(vec)
         if res:
             return None

@@ -1,11 +1,19 @@
 """Finitely supported vectors over exact rationals.
 
-A vector is a map from basis tokens to nonzero Fractions.  Tokens are
-hashable values (ints, strings, nested tuples).  Arithmetic iterates the
-coefficient dict in its own order, since no sum depends on it.  `token_key`
-gives a total order across mixed token kinds, and that canonical order is
-kept wherever an order can be observed: `repr`, `support()` (and `spans`
-token collection, hence matrix layout), witness lists and report rendering.
+A vector is a map from basis tokens to nonzero exact rationals: an `int`
+when integral, a `Fraction` otherwise (`as_scalar`).  Sums and products
+of ints stay ints, which keeps the common integral arithmetic off
+`Fraction`.  A sum or product of Fractions may still be an integral
+`Fraction`; that is harmless, since the two agree on `==`, `hash` and
+`str`.  `int / int` is a float, so the package divides only as
+`Fraction(1) / x`.
+
+Tokens are hashable values (ints, strings, nested tuples).  Arithmetic
+iterates the coefficient dict in its own order, since no sum depends on
+it.  `token_key` gives a total order across mixed token kinds, and that
+canonical order is kept wherever an order can be observed: `repr`,
+`support()` (and `spans` token collection, hence matrix layout), witness
+lists and report rendering.
 
 Every structure map in the package is a linear or bilinear rule on basis
 tokens; `linear` and `bilinear` extend such a rule to vectors, and
@@ -20,17 +28,20 @@ from typing import Callable, Iterable, Iterator
 from .errors import WindowError
 
 Token = object
-Scalar = Fraction
+Scalar = int | Fraction
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce ints, strings like '2/3' and Fractions to an exact rational."""
-    if isinstance(value, Fraction):
+def as_scalar(value) -> Scalar:
+    """Coerce ints, strings like '2/3' and Fractions to an exact rational:
+    an int when integral (bools included), a Fraction otherwise."""
+    if type(value) is int:
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -97,8 +108,8 @@ class FinVec:
         """Support tokens in canonical `token_key` order."""
         return tuple(sorted(self._c, key=token_key))
 
-    def __getitem__(self, tok) -> Fraction:
-        return self._c.get(tok, Fraction(0))
+    def __getitem__(self, tok) -> Scalar:
+        return self._c.get(tok, 0)
 
     def __contains__(self, tok) -> bool:
         return tok in self._c
@@ -118,7 +129,7 @@ class FinVec:
     def __add__(self, other: "FinVec") -> "FinVec":
         out = dict(self._c)
         for tok, val in other._c.items():
-            acc = out.get(tok, Fraction(0)) + val
+            acc = out.get(tok, 0) + val
             if acc:
                 out[tok] = acc
             else:
@@ -149,7 +160,9 @@ class FinVec:
         return FinVec((fn(tok), val) for tok, val in self._c.items())
 
     def map_values(self, fn: Callable) -> "FinVec":
-        return FinVec((tok, fn(val)) for tok, val in self._c.items())
+        """Apply fn to each coefficient, handed over as a Fraction so that
+        a division inside fn stays exact."""
+        return FinVec((tok, fn(Fraction(val))) for tok, val in self._c.items())
 
     def __repr__(self) -> str:
         if not self._c:

@@ -53,6 +53,12 @@ def test_rref_hand_computed():
     assert pivots == [0, 2]
     assert red[0] == [F(1), F(2), F(0)]
     assert red[1] == [F(0), F(0), F(1)]
+    # integral entries come back as ints, the others as Fractions
+    assert all(type(x) is int for row in red for x in row)
+    red, _ = linalg.rref([[2, 1], [0, 3]])
+    assert red == [[1, 0], [0, 1]]
+    red, _ = linalg.rref([[2, 1]])
+    assert red == [[1, F(1, 2)]] and type(red[0][1]) is F
 
 
 def test_rank_and_nullspace_dimensions():

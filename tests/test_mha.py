@@ -6,6 +6,7 @@ the tensor square algebra.  Neither oracle touches the closed forms.
 """
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from mhopf.algebras import (
 from mhopf.errors import StructuralError
 from mhopf.groups import parse_group
 from mhopf.mha import (
+    check_counit_homomorphism,
     check_mha_axioms,
     check_regular,
     instance_for,
@@ -26,6 +28,8 @@ from mhopf.mha import (
     mutate_instance,
     sweedler_cov,
 )
+from mhopf.reports import render_value
+from mhopf.spans import Span
 from mhopf.vectors import FinVec, tensor
 
 F = Fraction
@@ -332,3 +336,24 @@ class TestRegularOnPartialWindows:
             {"map": "flip_r", "kernel": FinVec({(e, t): -1, (t, e): 1})},
             {"map": "flip_r", "kernel": FinVec({(e, s): -1, (s, e): 1})},
         ]
+
+
+@pytest.mark.parametrize("kind", ["A_G", "kG"])
+def test_scalars_reaching_reports_stay_fractions(S3, kind):
+    """Vectors store integral coefficients as ints, but a scalar handed to
+    a report outside a vector stays a Fraction, which renders as a JSON
+    string where an int would render as a number."""
+    inst = instance_for(kind, S3)
+    e = S3.identity
+    for g in S3.elements:
+        assert type(inst.counit(g)) is F
+        assert type(inst.counit_vec(FinVec.basis(g))) is F
+    assert type(inst.counit_vec(FinVec())) is F
+    coords = Span([FinVec.basis(e)]).coords(FinVec.basis(e, 2))
+    assert coords == [2] and type(coords[0]) is F
+
+    result = check_counit_homomorphism(mutate_instance(inst, "counit"))
+    first = json.dumps(result.to_dict()["witnesses"][0], sort_keys=True)
+    assert first == '{"eps(a)eps(b)": "4", "eps(ab)": "2", "pair": [[0, 1, 2], [0, 1, 2]]}'
+    witness = {"pair": (e, e), "eps(ab)": inst.counit_vec(FinVec.basis(e)), "count": 2}
+    assert render_value(witness) == {"count": 2, "eps(ab)": "1", "pair": [[0, 1, 2], [0, 1, 2]]}

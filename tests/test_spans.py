@@ -20,6 +20,8 @@ F = Fraction
 tokens = st.sampled_from([0, 1, 2, 3, "a", (0, 1)])
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 vectors = st.dictionaries(tokens, coeffs, max_size=4).map(FinVec)
+mixed = st.one_of(st.integers(-3, 3), coeffs)
+mixed_vectors = st.dictionaries(tokens, mixed, max_size=4).map(FinVec)
 
 
 def combination(draw, vecs, max_terms):
@@ -176,3 +178,54 @@ def test_subspace_le_names_the_first_vector_outside():
     assert spans.subspace_le([FinVec({0: 2, 1: 2, 2: 5})], sup) is None
     outside = FinVec.basis(1)
     assert spans.subspace_le([FinVec(), FinVec.basis(2), outside], sup) == outside
+
+
+# Mixed scalars: integral coefficients are ints, the others Fractions.  A
+# Span over such vectors answers exactly as over the same vectors holding
+# only Fractions, stores no float and no zero, and hands out coordinates
+# as Fractions (they reach reports, where an int would render differently).
+
+
+def as_fractions(v: FinVec) -> FinVec:
+    return FinVec._of({t: F(c) for t, c in v.items()})
+
+
+def exact_nonzero(values):
+    return all(type(c) in (int, F) and c != 0 for c in values)
+
+
+@st.composite
+def mixed_lists_and_targets(draw):
+    vecs = draw(st.lists(mixed_vectors, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        picks = draw(st.lists(st.tuples(st.integers(0, len(vecs) - 1), mixed), min_size=1, max_size=3))
+        vecs.insert(draw(st.integers(0, len(vecs))), vec_sum(vecs[i].scale(c) for i, c in picks))
+    return vecs, draw(mixed_vectors)
+
+
+@SETTINGS
+@given(mixed_lists_and_targets())
+def test_mixed_scalars_answer_as_all_fractions(case):
+    vecs, target = case
+    span, ref = spans.Span(vecs), spans.Span(as_fractions(v) for v in vecs)
+    for t in (target, vec_sum(vecs)):
+        coords = span.coords(t)
+        assert coords == ref.coords(as_fractions(t))
+        assert coords is None or all(type(c) is F for c in coords)
+        assert span.contains(t) == ref.contains(as_fractions(t))
+    domain = list(range(len(vecs)))
+    kernel = span.kernel(domain)
+    assert kernel == ref.kernel(domain)
+    basis = spans.span_basis(vecs)
+    assert basis == spans.span_basis([as_fractions(v) for v in vecs])
+    for v in kernel + basis:
+        assert exact_nonzero(c for _, c in v.items())
+    for row, combo in span._rows.values():
+        assert exact_nonzero(row.values()) and exact_nonzero(combo.values())
+
+
+def test_coords_are_fractions_over_integral_vectors():
+    span = spans.Span([FinVec({0: 2, 1: 2}), FinVec.basis(1, 3)])
+    coords = span.coords(FinVec({0: 1, 1: 4}))
+    assert coords == [F(1, 2), F(1)]
+    assert all(type(c) is F for c in coords)

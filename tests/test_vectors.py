@@ -1,13 +1,17 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mhopf
 from mhopf.errors import WindowError
 from mhopf.vectors import (
     FinVec,
     LinearMapTable,
+    as_scalar,
     bilinear,
     lincomb,
     linear,
@@ -131,3 +135,95 @@ def test_linear_map_table_applies_and_guards_window():
     )
     with pytest.raises(WindowError, match="token b outside window"):
         narrow(FinVec([("a", 1), ("b", 1)]))
+
+
+# Mixed scalars: integral coefficients are stored as int, the others as
+# Fraction.  Every result must equal the same computation over vectors that
+# hold only Fractions (built with `_of`, which stores its dict as given).
+mixed = st.one_of(st.integers(-30, 30), coeffs)
+mixed_vectors = st.dictionaries(tokens, mixed, max_size=5).map(FinVec)
+
+
+def as_fractions(v: FinVec) -> FinVec:
+    return FinVec._of({t: Fraction(c) for t, c in v.items()})
+
+
+def assert_stored_exact(v: FinVec):
+    for _, c in v.items():
+        assert type(c) in (int, Fraction) and c != 0
+
+
+@pytest.mark.parametrize(
+    "value, expected, kind",
+    [
+        (3, 3, int),
+        (True, 1, int),
+        (False, 0, int),
+        (Fraction(4, 2), 2, int),
+        ("4/2", 2, int),
+        ("1/3", Fraction(1, 3), Fraction),
+        (Fraction(-2, 6), Fraction(-1, 3), Fraction),
+    ],
+)
+def test_as_scalar_is_int_when_integral(value, expected, kind):
+    got = as_scalar(value)
+    assert got == expected and type(got) is kind
+
+
+def test_as_scalar_refuses_floats():
+    with pytest.raises(TypeError):
+        as_scalar(1.0)
+    with pytest.raises(TypeError):
+        FinVec({"a": 0.5})
+
+
+def test_integral_coefficients_are_stored_as_int():
+    v = FinVec({"a": Fraction(2), "b": "6/3"})
+    assert all(type(c) is int for _, c in v.items())
+    assert type(FinVec.basis("x")["x"]) is int
+    assert type(FinVec.basis("x", Fraction(3, 3))["x"]) is int
+    assert type(v.scale(Fraction(1, 2))["a"]) is Fraction
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.tuples(mixed_vectors, mixed), max_size=6))
+def test_lincomb_mixed_equals_all_fraction(pairs):
+    got = lincomb(pairs)
+    assert got == lincomb((as_fractions(v), Fraction(c)) for v, c in pairs)
+    assert_stored_exact(got)
+    scalars = [c for _, c in pairs] + [c for v, _ in pairs for _, c in v.items()]
+    if all(type(c) is int for c in scalars):
+        assert all(type(c) is int for _, c in got.items())
+
+
+@settings(deadline=None, derandomize=True)
+@given(mixed_vectors, mixed_vectors)
+def test_bilinear_and_tensor_mixed_equal_all_fraction(x, y):
+    fx, fy = as_fractions(x), as_fractions(y)
+    got = bilinear(overlapping_rule)(x, y)
+    assert got == bilinear(overlapping_rule)(fx, fy)
+    assert_stored_exact(got)
+    t = tensor(x, y)
+    assert t == tensor(fx, fy)
+    assert_stored_exact(t)
+    assert_stored_exact(x + y)
+    assert_stored_exact(x - y)
+
+
+def test_no_true_division_outside_a_fraction():
+    """`int / int` is a float, so the only division allowed in the package
+    is `Fraction(...) / ...`, which stays exact."""
+    offenders = []
+    for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                left = node.left
+                if not (
+                    isinstance(left, ast.Call)
+                    and isinstance(left.func, ast.Name)
+                    and left.func.id == "Fraction"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
