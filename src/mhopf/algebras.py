@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from . import spans
 from .errors import CapabilityError, NoLocalUnitError, StructuralError, WindowError
 from .groups import GroupSpec
-from .reports import CheckResult, ResultSink
+from .reports import CheckResult
 from .vectors import FinVec, LinearMapTable, bilinear, lincomb, tensor, token_key
 
 
@@ -186,10 +186,8 @@ def check_associative(algebra: Algebra, window=None) -> CheckResult:
                 if lhs != rhs:
                     witnesses.append({"triple": (a, b, c), "lhs": lhs, "rhs": rhs})
                     if len(witnesses) >= 3:
-                        return CheckResult.failed("associativity", witnesses)
-    if witnesses:
-        return CheckResult.failed("associativity", witnesses)
-    return CheckResult.passed("associativity", triples=len(window) ** 3)
+                        return CheckResult.law("associativity", witnesses)
+    return CheckResult.law("associativity", witnesses, triples=len(window) ** 3)
 
 
 def local_unit(algebra: Algebra, elems, window=None) -> FinVec:
@@ -256,9 +254,7 @@ def check_nondegenerate(algebra: Algebra, window=None) -> CheckResult:
     right_kernel = spans.kernel_of_map(window, left_images)
     witnesses = [{"side": "left", "annihilator": v} for v in left_kernel]
     witnesses += [{"side": "right", "annihilator": v} for v in right_kernel]
-    if witnesses:
-        return CheckResult.failed("nondegenerate", witnesses, window=len(window))
-    return CheckResult.passed("nondegenerate", window=len(window))
+    return CheckResult.law("nondegenerate", witnesses, window=len(window))
 
 
 def check_s_unital_left(algebra: Algebra, window=None, elems=None) -> CheckResult:
@@ -272,9 +268,8 @@ def check_s_unital_left(algebra: Algebra, window=None, elems=None) -> CheckResul
             continue
         if not spans.Span(algebra.mul(FinVec.basis(b), x) for b in window).contains(x):
             witnesses.append({"element": x})
-    if witnesses:
-        return CheckResult.failed("s_unital_left", witnesses, window=len(window))
-    return CheckResult.passed("s_unital_left", window=len(window), elems=len(elems))
+    return CheckResult.law(
+        "s_unital_left", witnesses, window=len(window), elems=len(elems))
 
 
 class Multiplier:
@@ -370,10 +365,8 @@ def multiplier_check(m: Multiplier, window=None) -> CheckResult:
             if vab != algebra.mul(av, m.apply_right(bv)):
                 witnesses.append({"law": "V(ab)=aV(b)", "pair": (a, b)})
             if len(witnesses) >= 5:
-                return CheckResult.failed("multiplier_compat", witnesses)
-    if witnesses:
-        return CheckResult.failed("multiplier_compat", witnesses)
-    return CheckResult.passed("multiplier_compat", window=len(window))
+                return CheckResult.law("multiplier_compat", witnesses)
+    return CheckResult.law("multiplier_compat", witnesses, window=len(window))
 
 
 def multiplier_product(m1: Multiplier, m2: Multiplier) -> Multiplier:

@@ -184,13 +184,11 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window
 def mutate_coaction(C: PartialCoactionData, kind: str) -> PartialCoactionData:
     """Deliberately broken variants used as negative controls."""
     if kind == "e_scale":
-        two = Fraction(2)
-
         def left(tok):
-            return C.E.apply_left(FinVec.basis(tok)).scale(two)
+            return C.E.apply_left(FinVec.basis(tok)).scale(2)
 
         def right(tok):
-            return C.E.apply_right(FinVec.basis(tok)).scale(two)
+            return C.E.apply_right(FinVec.basis(tok)).scale(2)
 
         bad = Multiplier.from_rules(C.E.algebra, left, right, C.E.window)
         return dataclasses.replace(C, name=f"{C.name}#e_scale", E=bad)
@@ -254,10 +252,8 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
         )
 
     kern = spans.kernel_of_map(lbasis, stacked)
-    if kern:
-        results.append(CheckResult.failed("rho_injective", [{"kernel": k} for k in kern]))
-    else:
-        results.append(CheckResult.passed("rho_injective", dim=len(lbasis)))
+    results.append(CheckResult.law(
+        "rho_injective", [{"kernel": k} for k in kern], dim=len(lbasis)))
 
     witnesses = list(multiplier_check(C.E).witnesses)
     if not is_idempotent_multiplier(C.E):
@@ -276,10 +272,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
                 rhs = linear(lambda u: C.E.apply_right(FinVec.basis((l, u))))(A.mul_basis(b, a))
                 if rhs != _second_slot_lmul(C, bv, base_r):
                     witnesses.append({"law": "(l (x) ba)E = (1 (x) b)((l (x) a)E)", "triple": (l, a, b)})
-    if witnesses:
-        results.append(CheckResult.failed("e_multiplier", witnesses[:6]))
-    else:
-        results.append(CheckResult.passed("e_multiplier"))
+    results.append(CheckResult.law("e_multiplier", witnesses[:6]))
 
     hom_wit = []
     for x in lbasis:
@@ -296,10 +289,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
                 )(C.rho_r(y, a))
                 if direct != composed:
                     hom_wit.append({"pair": (x, y), "cover": a})
-    if hom_wit:
-        results.append(CheckResult.failed("rho_homomorphism", hom_wit[:4]))
-    else:
-        results.append(CheckResult.passed("rho_homomorphism"))
+    results.append(CheckResult.law("rho_homomorphism", hom_wit[:4]))
 
     cov_wit = []
     sym_wit = []
@@ -312,14 +302,9 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
                 lhs, rhs = _coassoc_sym_sides(C, x, a, b)
                 if lhs != rhs:
                     sym_wit.append({"triple": (x, a, b)})
-    if cov_wit:
-        results.append(CheckResult.failed("coassoc_covered", cov_wit[:4]))
-    else:
-        results.append(CheckResult.passed("coassoc_covered", triples=len(lbasis) * len(win) ** 2))
-    if sym_wit:
-        results.append(CheckResult.failed("coassoc_covered_symmetric", sym_wit[:4]))
-    else:
-        results.append(CheckResult.passed("coassoc_covered_symmetric"))
+    results.append(CheckResult.law(
+        "coassoc_covered", cov_wit[:4], triples=len(lbasis) * len(win) ** 2))
+    results.append(CheckResult.law("coassoc_covered_symmetric", sym_wit[:4]))
 
     absorb_wit = []
     for x in lbasis:
@@ -330,10 +315,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
             lv = C.rho_l(a, x)
             if C.E.apply_right(lv) != lv:
                 absorb_wit.append({"law": "rho(x) E = rho(x)", "pair": (x, a)})
-    if absorb_wit:
-        results.append(CheckResult.failed("e_absorbs_rho", absorb_wit[:4]))
-    else:
-        results.append(CheckResult.passed("e_absorbs_rho"))
+    results.append(CheckResult.law("e_absorbs_rho", absorb_wit[:4]))
 
     counit_wit = []
     inst = C.instance
@@ -342,10 +324,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
             rec = linear(lambda lt: FinVec.basis(lt[0], inst.counit(lt[1])))(C.rho_r(x, a))
             if rec != FinVec.basis(x, inst.counit(a)):
                 counit_wit.append({"pair": (x, a)})
-    if counit_wit:
-        results.append(CheckResult.failed("counit_recovery", counit_wit[:4]))
-    else:
-        results.append(CheckResult.passed("counit_recovery"))
+    results.append(CheckResult.law("counit_recovery", counit_wit[:4]))
 
     e_is_identity = all(
         C.E.apply_left(FinVec.basis(tok)) == FinVec.basis(tok)
@@ -358,17 +337,10 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
         for a in win
         for b in win
     )
-    if e_is_identity == law_unrestricted:
-        results.append(
-            CheckResult.passed("global_characterization", global_coaction=e_is_identity)
-        )
-    else:
-        results.append(
-            CheckResult.failed(
-                "global_characterization",
-                [{"e_identity": e_is_identity, "unrestricted_law": law_unrestricted}],
-            )
-        )
+    witnesses = [] if e_is_identity == law_unrestricted else [
+        {"e_identity": e_is_identity, "unrestricted_law": law_unrestricted}]
+    results.append(CheckResult.law(
+        "global_characterization", witnesses, global_coaction=e_is_identity))
     return results
 
 
@@ -385,17 +357,14 @@ def check_coaction_range(C: PartialCoactionData, window=None):
         ("range_right", rho_right, e_right),
         ("range_left", rho_left, e_left),
     ):
+        wit = []
         w1 = spans.subspace_le(sub, sup)
+        if w1 is not None:
+            wit.append({"direction": "rho inside E-range", "element": w1})
         w2 = spans.subspace_le(sup, sub)
-        if w1 is None and w2 is None:
-            results.append(CheckResult.passed(nm, dim=spans.Span(sup).rank))
-        else:
-            wit = []
-            if w1 is not None:
-                wit.append({"direction": "rho inside E-range", "element": w1})
-            if w2 is not None:
-                wit.append({"direction": "E-range inside rho", "element": w2})
-            results.append(CheckResult.failed(nm, wit))
+        if w2 is not None:
+            wit.append({"direction": "E-range inside rho", "element": w2})
+        results.append(CheckResult.law(nm, wit, dim=spans.Span(sup).rank))
     return results
 
 
@@ -412,23 +381,15 @@ def check_quasi_counitary(instance: MhaInstance, e: FinVec, window=None):
         for b in win
         if A.mul(e, FinVec.basis(b)) != A.mul(FinVec.basis(b), e)
     ]
-    results.append(
-        CheckResult.failed("central", wit[:4]) if wit else CheckResult.passed("central")
-    )
-    if A.mul(e, e) != e:
-        results.append(CheckResult.failed("idempotent", [{"element": str(e)}]))
-    else:
-        results.append(CheckResult.passed("idempotent"))
+    results.append(CheckResult.law("central", wit[:4]))
+    results.append(CheckResult.law(
+        "idempotent", [{"element": str(e)}] if A.mul(e, e) != e else []))
     lhs = bilinear(instance.delta_r_flip)(e, e)
-    if lhs != tensor(e, e):
-        results.append(CheckResult.failed("covered_identity", [{"law": "Delta(e)(e (x) 1) = e (x) e"}]))
-    else:
-        results.append(CheckResult.passed("covered_identity"))
+    results.append(CheckResult.law(
+        "covered_identity",
+        [{"law": "Delta(e)(e (x) 1) = e (x) e"}] if lhs != tensor(e, e) else []))
     eps = instance.counit_vec(e)
-    if eps != 1:
-        results.append(CheckResult.failed("counit_one", [{"value": str(eps)}]))
-    else:
-        results.append(CheckResult.passed("counit_one"))
+    results.append(CheckResult.law("counit_one", [{"value": str(eps)}] if eps != 1 else []))
     return results
 
 
@@ -528,13 +489,17 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
                 if comp:
                     seeds.append(comp)
     basis = spans.span_basis(seeds)
-    results = []
-
-    bounded = True
     while True:
         if len(basis) > dim_bound:
-            bounded = False
-            break
+            return tuple(basis), [
+                CheckResult.inconclusive(
+                    "closure_bounded",
+                    f"product closure exceeded {dim_bound} dimensions",
+                    dim=len(basis),
+                ),
+                CheckResult.inconclusive("subcomodule_window", "closure incomplete"),
+                CheckResult.inconclusive("generators_recovered", "closure incomplete"),
+            ]
         # on the round that adds nothing, this Span is over the final basis
         span = spans.Span(basis)
         fresh = []
@@ -546,20 +511,7 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
         if not fresh:
             break
         basis = spans.span_basis(list(basis) + fresh)
-    if bounded:
-        results.append(CheckResult.passed("closure_bounded", dim=len(basis)))
-    else:
-        results.append(
-            CheckResult.inconclusive(
-                "closure_bounded",
-                f"product closure exceeded {dim_bound} dimensions",
-                dim=len(basis),
-            )
-        )
-        basis = tuple(basis)
-        results.append(CheckResult.inconclusive("subcomodule_window", "closure incomplete"))
-        results.append(CheckResult.inconclusive("generators_recovered", "closure incomplete"))
-        return tuple(basis), results
+    results = [CheckResult.law("closure_bounded", [], dim=len(basis))]
 
     sub_wit = []
     for v in basis:
@@ -567,10 +519,7 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
             for tok, comp in _components(com.rho_r_vec(v, FinVec.basis(a))).items():
                 if comp and not span.contains(comp):
                     sub_wit.append({"cover": a, "component_at": tok})
-    if sub_wit:
-        results.append(CheckResult.failed("subcomodule_window", sub_wit[:4]))
-    else:
-        results.append(CheckResult.passed("subcomodule_window", dim=len(basis)))
+    results.append(CheckResult.law("subcomodule_window", sub_wit[:4], dim=len(basis)))
 
     norm = next((a for a in win if inst.counit(a) != 0), None)
     if norm is None:
@@ -588,10 +537,8 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
                 rec_wit.append({"generator": i})
             elif u and not span.contains(u):
                 rec_wit.append({"generator": i, "missing": "not inside the closure"})
-        if rec_wit:
-            results.append(CheckResult.failed("generators_recovered", rec_wit[:4]))
-        else:
-            results.append(CheckResult.passed("generators_recovered", count=len(elems)))
+        results.append(CheckResult.law(
+            "generators_recovered", rec_wit[:4], count=len(elems)))
     return tuple(basis), results
 
 
@@ -674,7 +621,10 @@ def _phi_e(G: CoactionGlobalization, z: FinVec, w) -> FinVec:
 def check_coglobalization(G: CoactionGlobalization, window=None):
     """Verification battery for the enveloping coaction."""
     C = G.base
-    win = tuple(window) if window is not None else G.aux.get("a_window", C.window(None))
+    win = G.aux.get("a_window", C.window(None))
+    if window is not None:
+        # an integer n means: the first n tokens of the envelope's own window
+        win = win[:window] if isinstance(window, int) else tuple(window)
     lbasis = C.target_basis()
     com = G.comodule
     results = []
@@ -692,10 +642,8 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
             for tok, comp in _components(com.rho_r_vec(v, FinVec.basis(a))).items():
                 if comp and not q_span.contains(comp):
                     closed_wit.append({"law": "subcomodule", "cover": a, "component_at": tok})
-    if closed_wit:
-        results.append(CheckResult.failed("comodule_algebra", closed_wit[:4]))
-    else:
-        results.append(CheckResult.passed("comodule_algebra", dim=len(G.q_basis)))
+    results.append(CheckResult.law(
+        "comodule_algebra", closed_wit[:4], dim=len(G.q_basis)))
 
     mono_wit = [{"kernel": k} for k in spans.kernel_of_map(lbasis, lambda t: G.theta_map[t])]
     for x in lbasis:
@@ -704,10 +652,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
             rhs = com.algebra.mul(G.theta_map[x], G.theta_map[y])
             if lhs != rhs:
                 mono_wit.append({"law": "multiplicative", "pair": (x, y)})
-    if mono_wit:
-        results.append(CheckResult.failed("theta_monomorphism", mono_wit[:4]))
-    else:
-        results.append(CheckResult.passed("theta_monomorphism"))
+    results.append(CheckResult.law("theta_monomorphism", mono_wit[:4]))
 
     ideal_wit = []
     for x in lbasis:
@@ -715,10 +660,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
             prod = com.algebra.mul(G.theta_map[x], v)
             if prod and not theta_span.contains(prod):
                 ideal_wit.append({"left": x})
-    if ideal_wit:
-        results.append(CheckResult.failed("theta_right_ideal", ideal_wit[:4]))
-    else:
-        results.append(CheckResult.passed("theta_right_ideal"))
+    results.append(CheckResult.law("theta_right_ideal", ideal_wit[:4]))
 
     proj_wit = []
     for x in lbasis:
@@ -735,10 +677,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
         else:
             continue
         break
-    if proj_wit:
-        results.append(CheckResult.failed("pi_projection", proj_wit[:4]))
-    else:
-        results.append(CheckResult.passed("pi_projection"))
+    results.append(CheckResult.law("pi_projection", proj_wit[:4]))
 
     eproj_wit = []
     for i, v in enumerate(G.q_basis):
@@ -754,10 +693,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
         else:
             if lhs != lincomb(terms):
                 eproj_wit.append({"basis_index": i})
-    if eproj_wit:
-        results.append(CheckResult.failed("e_projection", eproj_wit[:4]))
-    else:
-        results.append(CheckResult.passed("e_projection"))
+    results.append(CheckResult.law("e_projection", eproj_wit[:4]))
 
     compat_wit = []
     for x in lbasis:
@@ -767,16 +703,11 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
         rhs = _pi_tensor(G, com.rho_r_vec(G.theta_map[x], G.e))
         if lhs != rhs:
             compat_wit.append({"token": x})
-    if compat_wit:
-        results.append(CheckResult.failed("theta_coaction_compat", compat_wit[:4]))
-    else:
-        results.append(CheckResult.passed("theta_coaction_compat"))
+    results.append(CheckResult.law("theta_coaction_compat", compat_wit[:4]))
 
     regen, _ = generated_subcomodule(com, theta_vecs, win, dim_bound=max(512, 2 * len(G.q_basis)))
-    if spans.subspace_equal(regen, G.q_basis):
-        results.append(CheckResult.passed("generation", dim=len(G.q_basis)))
-    else:
-        results.append(CheckResult.failed("generation", [{"dim": len(regen)}]))
+    gen_wit = [] if spans.subspace_equal(regen, G.q_basis) else [{"dim": len(regen)}]
+    results.append(CheckResult.law("generation", gen_wit, dim=len(G.q_basis)))
 
     if C.target.one is None:
         results.append(CheckResult.inconclusive("unital_specialization", "coacted algebra has no unit"))
@@ -787,8 +718,5 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
             for i, v in enumerate(G.q_basis)
             if G.pi(v) != com.algebra.mul(one_theta, v)
         ]
-        if uni_wit:
-            results.append(CheckResult.failed("unital_specialization", uni_wit[:4]))
-        else:
-            results.append(CheckResult.passed("unital_specialization"))
+        results.append(CheckResult.law("unital_specialization", uni_wit[:4]))
     return results

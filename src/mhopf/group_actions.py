@@ -14,7 +14,6 @@ roundtrip_check confirms the two conversions compose to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from . import spans
@@ -126,10 +125,7 @@ def check_pga(P: PartialGroupAction) -> list:
             continue
         if img != v:
             witnesses.append({"element": v, "image": img})
-    if witnesses:
-        results.append(CheckResult.failed("identity_component", witnesses))
-    else:
-        results.append(CheckResult.passed("identity_component"))
+    results.append(CheckResult.law("identity_component", witnesses))
 
     witnesses = []
     for g in group.elements:
@@ -143,10 +139,7 @@ def check_pga(P: PartialGroupAction) -> list:
             witnesses.append({"g": g, "law": "alpha_g not injective"})
         if not spans.subspace_equal(imgs, P.corners[g]):
             witnesses.append({"g": g, "law": "alpha_g image is not the g corner"})
-    if witnesses:
-        results.append(CheckResult.failed("alpha_isomorphisms", witnesses))
-    else:
-        results.append(CheckResult.passed("alpha_isomorphisms"))
+    results.append(CheckResult.law("alpha_isomorphisms", witnesses))
 
     witnesses = []
     for g in group.elements:
@@ -165,10 +158,7 @@ def check_pga(P: PartialGroupAction) -> list:
                     break
             if len(witnesses) >= 5:
                 break
-    if witnesses:
-        results.append(CheckResult.failed("alpha_multiplicative", witnesses))
-    else:
-        results.append(CheckResult.passed("alpha_multiplicative"))
+    results.append(CheckResult.law("alpha_multiplicative", witnesses))
 
     witnesses = []
     for g in group.elements:
@@ -182,10 +172,7 @@ def check_pga(P: PartialGroupAction) -> list:
             rhs = product_basis(g, group.mul(g, h))
             if not spans.subspace_equal(lhs, rhs):
                 witnesses.append({"g": g, "h": h})
-    if witnesses:
-        results.append(CheckResult.failed("intersection_translation", witnesses))
-    else:
-        results.append(CheckResult.passed("intersection_translation"))
+    results.append(CheckResult.law("intersection_translation", witnesses))
 
     witnesses = []
     factored = {}
@@ -204,10 +191,7 @@ def check_pga(P: PartialGroupAction) -> list:
                     break
             if len(witnesses) >= 5:
                 break
-    if witnesses:
-        results.append(CheckResult.failed("composition", witnesses))
-    else:
-        results.append(CheckResult.passed("composition"))
+    results.append(CheckResult.law("composition", witnesses))
     return results
 
 
@@ -228,10 +212,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
             witnesses.append({"g": g, "law": "idempotent"})
         if not is_central_multiplier(m, window=window):
             witnesses.append({"g": g, "law": "central"})
-    if witnesses:
-        results.append(CheckResult.failed("sigma_central_idempotent", witnesses))
-    else:
-        results.append(CheckResult.passed("sigma_central_idempotent"))
+    results.append(CheckResult.law("sigma_central_idempotent", witnesses))
 
     witnesses = []
     factored = {}
@@ -252,10 +233,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
                     break
             if len(witnesses) >= 5:
                 break
-    if witnesses:
-        results.append(CheckResult.failed("sigma_translation", witnesses))
-    else:
-        results.append(CheckResult.passed("sigma_translation"))
+    results.append(CheckResult.law("sigma_translation", witnesses))
 
     witnesses = []
     for g in group.elements:
@@ -263,10 +241,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
             img = P.alpha[g](v)
             if P.sigma[g].apply_right(img) != img:
                 witnesses.append({"g": g, "element": v})
-    if witnesses:
-        results.append(CheckResult.failed("sigma_absorbs_alpha", witnesses))
-    else:
-        results.append(CheckResult.passed("sigma_absorbs_alpha"))
+    results.append(CheckResult.law("sigma_absorbs_alpha", witnesses))
 
     witnesses = []
     for g in group.elements:
@@ -274,10 +249,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
         bad = spans.subspace_le(shifted, list(P.corners[g]))
         if bad is not None:
             witnesses.append({"g": g, "element": bad})
-    if witnesses:
-        results.append(CheckResult.failed("corner_containment", witnesses))
-    else:
-        results.append(CheckResult.passed("corner_containment"))
+    results.append(CheckResult.law("corner_containment", witnesses))
     return results
 
 
@@ -295,10 +267,7 @@ def check_globalizability(P: PartialGroupAction) -> list:
         for x in corner:
             if not spans.Span(P.algebra.mul(u, x) for u in corner).contains(x):
                 witnesses.append({"g": g, "element": x})
-    if witnesses:
-        results.append(CheckResult.failed("corners_s_unital", witnesses))
-    else:
-        results.append(CheckResult.passed("corners_s_unital"))
+    results.append(CheckResult.law("corners_s_unital", witnesses))
 
     range_witnesses = []
     restr_witnesses = []
@@ -317,14 +286,8 @@ def check_globalizability(P: PartialGroupAction) -> list:
                     restr_witnesses.append({"g": g, "x": t, "element": y})
                 if len(restr_witnesses) >= 5:
                     break
-    if range_witnesses:
-        results.append(CheckResult.failed("gamma_range", range_witnesses))
-    else:
-        results.append(CheckResult.passed("gamma_range"))
-    if restr_witnesses:
-        results.append(CheckResult.failed("gamma_restriction", restr_witnesses))
-    else:
-        results.append(CheckResult.passed("gamma_restriction"))
+    results.append(CheckResult.law("gamma_range", range_witnesses))
+    results.append(CheckResult.law("gamma_restriction", restr_witnesses))
     return results
 
 
@@ -403,10 +366,7 @@ def roundtrip_check(P: PartialGroupAction) -> list:
     for g in group.elements:
         if not spans.subspace_equal(list(P.corners[g]), list(Q.corners[g])):
             witnesses.append({"g": g})
-    if witnesses:
-        results.append(CheckResult.failed("corners_match", witnesses))
-    else:
-        results.append(CheckResult.passed("corners_match"))
+    results.append(CheckResult.law("corners_match", witnesses))
 
     witnesses = []
     for g in group.elements:
@@ -416,20 +376,14 @@ def roundtrip_check(P: PartialGroupAction) -> list:
                 g
             ].apply_right(v) != Q.sigma[g].apply_right(v):
                 witnesses.append({"g": g, "token": t})
-    if witnesses:
-        results.append(CheckResult.failed("sigma_match", witnesses))
-    else:
-        results.append(CheckResult.passed("sigma_match"))
+    results.append(CheckResult.law("sigma_match", witnesses))
 
     witnesses = []
     for g in group.elements:
         for v in P.corners[group.inv(g)]:
             if P.alpha[g](v) != Q.alpha[g](v):
                 witnesses.append({"g": g, "element": v})
-    if witnesses:
-        results.append(CheckResult.failed("alpha_match", witnesses))
-    else:
-        results.append(CheckResult.passed("alpha_match"))
+    results.append(CheckResult.law("alpha_match", witnesses))
     return results
 
 
@@ -533,7 +487,7 @@ def mutate_pga(P: PartialGroupAction, kind, g=None, multiplier=None) -> PartialG
     if kind == "alpha":
         base = P.alpha[g]
         alpha = dict(P.alpha)
-        alpha[g] = lambda v: base(v).scale(Fraction(2))
+        alpha[g] = lambda v: base(v).scale(2)
         return make_pga(f"{P.name}|alpha-scaled", group, P.algebra, P.sigma, alpha)
     if kind == "sigma":
         if multiplier is None:

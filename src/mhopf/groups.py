@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import StructuralError
-from .reports import CheckResult, ResultSink
+from .reports import CheckResult
 from .vectors import token_key
 
 
@@ -168,7 +168,7 @@ def group_check(group: GroupSpec, window) -> list[CheckResult]:
     injective on the window.
     """
     window = tuple(window)
-    sink = ResultSink()
+    results = []
 
     codes = {}
     collisions = []
@@ -186,14 +186,14 @@ def group_check(group: GroupSpec, window) -> list[CheckResult]:
         for g in window
         if group.mul(e, g) != g or group.mul(g, e) != g
     ]
-    sink.law("identity_law", id_witnesses, window=len(window))
+    results.append(CheckResult.law("identity_law", id_witnesses, window=len(window)))
 
     inv_witnesses = []
     for g in window:
         gi = group.inv(g)
         if group.mul(g, gi) != e or group.mul(gi, g) != e:
             inv_witnesses.append({"element": g, "inverse": gi})
-    sink.law("inverse_law", inv_witnesses)
+    results.append(CheckResult.law("inverse_law", inv_witnesses))
 
     assoc_witnesses = []
     for a in window:
@@ -208,7 +208,8 @@ def group_check(group: GroupSpec, window) -> list[CheckResult]:
                 break
         if len(assoc_witnesses) >= 3:
             break
-    sink.law("associativity", assoc_witnesses, triples=len(window) ** 3)
+    results.append(CheckResult.law(
+        "associativity", assoc_witnesses, triples=len(window) ** 3))
 
     if group.elements is not None and set(window) == set(group.elements):
         closed = [
@@ -217,5 +218,5 @@ def group_check(group: GroupSpec, window) -> list[CheckResult]:
             for b in window
             if group.mul(a, b) not in codes
         ]
-        sink.law("closure", closed)
-    return sink.results
+        results.append(CheckResult.law("closure", closed))
+    return results

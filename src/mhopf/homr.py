@@ -12,7 +12,6 @@ comultiplication only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebras import Algebra, local_unit
@@ -181,7 +180,7 @@ def default_samples(M: MhaInstance, R: Algebra, window) -> list[HomRElem]:
     samples = [
         HomRElem(M, R, {toks[0]: r0}),
         HomRElem(M, R, {toks[-1]: r1}),
-        HomRElem(M, R, {toks[0]: r0 + r1.scale(Fraction(2)), toks[-1]: r0}),
+        HomRElem(M, R, {toks[0]: r0 + r1.scale(2), toks[-1]: r0}),
     ]
     return samples
 
@@ -196,10 +195,8 @@ def check_conv_associative(samples: list[HomRElem]) -> CheckResult:
                 if left != right:
                     witnesses.append({"triple": (F, G, H), "left": left, "right": right})
                     if len(witnesses) >= 2:
-                        return CheckResult.failed("conv_associative", witnesses)
-    if witnesses:
-        return CheckResult.failed("conv_associative", witnesses)
-    return CheckResult.passed("conv_associative", triples=len(samples) ** 3)
+                        return CheckResult.law("conv_associative", witnesses)
+    return CheckResult.law("conv_associative", witnesses, triples=len(samples) ** 3)
 
 
 def check_conv_paths_agree(samples: list[HomRElem]) -> CheckResult:
@@ -210,9 +207,7 @@ def check_conv_paths_agree(samples: list[HomRElem]) -> CheckResult:
             covered = conv_mul_generic(F, G)
             if closed != covered:
                 witnesses.append({"pair": (F, G), "closed": closed, "covered": covered})
-    if witnesses:
-        return CheckResult.failed("conv_paths_agree", witnesses[:3])
-    return CheckResult.passed("conv_paths_agree", pairs=len(samples) ** 2)
+    return CheckResult.law("conv_paths_agree", witnesses[:3], pairs=len(samples) ** 2)
 
 
 def check_module_algebra(
@@ -239,10 +234,8 @@ def check_module_algebra(
                 right = _act_vec(act, gh, F)
                 if left != right:
                     witnesses.append({"pair": (g, h), "F": F, "left": left, "right": right})
-    results.append(
-        CheckResult.failed("module_law", witnesses[:3]) if witnesses
-        else CheckResult.passed("module_law", pairs=len(window) ** 2, samples=len(samples))
-    )
+    results.append(CheckResult.law(
+        "module_law", witnesses[:3], pairs=len(window) ** 2, samples=len(samples)))
 
     witnesses = []
     for F in samples:
@@ -254,10 +247,8 @@ def check_module_algebra(
             raise CapabilityError(f"no covering local unit: {exc}") from exc
         if _act_vec(act, e, F) != F:
             witnesses.append({"F": F, "unit": e, "acted": _act_vec(act, e, F)})
-    results.append(
-        CheckResult.failed("local_units_act_as_units", witnesses[:3]) if witnesses
-        else CheckResult.passed("local_units_act_as_units", samples=len(samples))
-    )
+    results.append(CheckResult.law(
+        "local_units_act_as_units", witnesses[:3], samples=len(samples)))
 
     witnesses = []
     for F in samples:
@@ -275,12 +266,8 @@ def check_module_algebra(
                 ))
                 if left != right:
                     witnesses.append({"a": a, "F": F, "G": G, "left": left, "right": right})
-    results.append(
-        CheckResult.failed("covered_product_law", witnesses[:3]) if witnesses
-        else CheckResult.passed(
-            "covered_product_law", window=len(window), samples=len(samples)
-        )
-    )
+    results.append(CheckResult.law(
+        "covered_product_law", witnesses[:3], window=len(window), samples=len(samples)))
     return results
 
 
@@ -340,10 +327,8 @@ def check_convolutive_inverse(
                 )
             checked += 1
             if len(witnesses) >= 6:
-                return CheckResult.failed("convolutive_inverse", witnesses)
-    if witnesses:
-        return CheckResult.failed("convolutive_inverse", witnesses)
-    return CheckResult.passed("convolutive_inverse", evaluations=checked)
+                return CheckResult.law("convolutive_inverse", witnesses)
+    return CheckResult.law("convolutive_inverse", witnesses, evaluations=checked)
 
 
 def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) -> list[CheckResult]:
@@ -360,10 +345,8 @@ def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) ->
             rhs = M.algebra.mul(candidate(b), candidate(a))
             if lhs != rhs:
                 witnesses.append({"pair": (a, b), "S'(ab)": lhs, "S'(b)S'(a)": rhs})
-    results.append(
-        CheckResult.failed("candidate_antihomomorphism", witnesses[:3]) if witnesses
-        else CheckResult.passed("candidate_antihomomorphism", pairs=len(window) ** 2)
-    )
+    results.append(CheckResult.law(
+        "candidate_antihomomorphism", witnesses[:3], pairs=len(window) ** 2))
 
     witnesses = []
     for c in window:
@@ -378,8 +361,6 @@ def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) ->
             )(M.delta_l(a, c))
             if right != FinVec.basis(a, M.counit(c)):
                 witnesses.append({"law": "m(i x S')", "pair": (c, a), "value": right})
-    results.append(
-        CheckResult.failed("antipode_identities", witnesses[:3]) if witnesses
-        else CheckResult.passed("antipode_identities", pairs=len(window) ** 2)
-    )
+    results.append(CheckResult.law(
+        "antipode_identities", witnesses[:3], pairs=len(window) ** 2))
     return results

@@ -259,10 +259,8 @@ def check_coassociativity(instance: MhaInstance, window=None) -> CheckResult:
                 if lhs != rhs:
                     witnesses.append({"triple": (a, b, c), "lhs": lhs, "rhs": rhs})
                     if len(witnesses) >= 3:
-                        return CheckResult.failed("coassociativity", witnesses)
-    if witnesses:
-        return CheckResult.failed("coassociativity", witnesses)
-    return CheckResult.passed("coassociativity", triples=len(window) ** 3)
+                        return CheckResult.law("coassociativity", witnesses)
+    return CheckResult.law("coassociativity", witnesses, triples=len(window) ** 3)
 
 
 def check_counit(instance: MhaInstance, window=None) -> CheckResult:
@@ -283,10 +281,8 @@ def check_counit(instance: MhaInstance, window=None) -> CheckResult:
                     {"pair": (a, b), "left": left, "right": right, "product": prod}
                 )
                 if len(witnesses) >= 3:
-                    return CheckResult.failed("counit", witnesses)
-    if witnesses:
-        return CheckResult.failed("counit", witnesses)
-    return CheckResult.passed("counit", pairs=len(window) ** 2)
+                    return CheckResult.law("counit", witnesses)
+    return CheckResult.law("counit", witnesses, pairs=len(window) ** 2)
 
 
 def check_counit_homomorphism(instance: MhaInstance, window=None) -> CheckResult:
@@ -298,9 +294,7 @@ def check_counit_homomorphism(instance: MhaInstance, window=None) -> CheckResult
             rhs = instance.counit(a) * instance.counit(b)
             if lhs != rhs:
                 witnesses.append({"pair": (a, b), "eps(ab)": lhs, "eps(a)eps(b)": rhs})
-    if witnesses:
-        return CheckResult.failed("counit_homomorphism", witnesses[:3])
-    return CheckResult.passed("counit_homomorphism", pairs=len(window) ** 2)
+    return CheckResult.law("counit_homomorphism", witnesses[:3], pairs=len(window) ** 2)
 
 
 def check_antipode(instance: MhaInstance, window=None) -> CheckResult:
@@ -323,10 +317,8 @@ def check_antipode(instance: MhaInstance, window=None) -> CheckResult:
                      "right": rhs, "right_expected": expected_r}
                 )
                 if len(witnesses) >= 3:
-                    return CheckResult.failed("antipode", witnesses)
-    if witnesses:
-        return CheckResult.failed("antipode", witnesses)
-    return CheckResult.passed("antipode", pairs=len(window) ** 2)
+                    return CheckResult.law("antipode", witnesses)
+    return CheckResult.law("antipode", witnesses, pairs=len(window) ** 2)
 
 
 def check_antipode_antihomomorphism(instance: MhaInstance, window=None) -> CheckResult:
@@ -338,9 +330,8 @@ def check_antipode_antihomomorphism(instance: MhaInstance, window=None) -> Check
             rhs = instance.algebra.mul(instance.antipode(b), instance.antipode(a))
             if lhs != rhs:
                 witnesses.append({"pair": (a, b), "S(ab)": lhs, "S(b)S(a)": rhs})
-    if witnesses:
-        return CheckResult.failed("antipode_antihomomorphism", witnesses[:3])
-    return CheckResult.passed("antipode_antihomomorphism", pairs=len(window) ** 2)
+    return CheckResult.law(
+        "antipode_antihomomorphism", witnesses[:3], pairs=len(window) ** 2)
 
 
 def check_coverage_bijections(instance: MhaInstance, window=None) -> CheckResult:
@@ -363,10 +354,8 @@ def check_coverage_bijections(instance: MhaInstance, window=None) -> CheckResult
             if t2b != unit:
                 witnesses.append({"map": "T2 o t2_inv", "pair": (a, b), "value": t2b})
             if len(witnesses) >= 4:
-                return CheckResult.failed("coverage_bijections", witnesses)
-    if witnesses:
-        return CheckResult.failed("coverage_bijections", witnesses)
-    return CheckResult.passed("coverage_bijections", pairs=len(window) ** 2)
+                return CheckResult.law("coverage_bijections", witnesses)
+    return CheckResult.law("coverage_bijections", witnesses, pairs=len(window) ** 2)
 
 
 def _compose(rule: PairRule, pairs: FinVec) -> FinVec:
@@ -387,10 +376,8 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
     inconclusive (its preimage may live outside any finite window).
     """
     if not instance.is_regular():
-        return CheckResult.failed(
-            "regular",
-            [{"missing": "flipped coverages or inverse antipode"}],
-        )
+        return CheckResult.law(
+            "regular", [{"missing": "flipped coverages or inverse antipode"}])
     window = instance.basis_window(window)
     exhaustive = instance.algebra.is_finite() and set(window) == set(
         instance.algebra.basis
@@ -419,10 +406,8 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
             span = spans.Span(rule(*p) for p in source_pairs)
         for target in pair_tokens:
             if not span.contains(FinVec.basis(target)):
-                if exhaustive:
-                    witnesses.append({"map": label, "not_hit": target})
-                else:
-                    unresolved.append({"map": label, "not_hit": target})
+                (witnesses if exhaustive else unresolved).append(
+                    {"map": label, "not_hit": target})
                 break
     for g in window:
         gv = FinVec.basis(g)
@@ -430,11 +415,8 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
             witnesses.append({"law": "Sinv o S", "element": g})
         if instance.antipode_vec(instance.antipode_inv(g)) != gv:
             witnesses.append({"law": "S o Sinv", "element": g})
-    if witnesses:
-        return CheckResult.failed("regular", witnesses[:5])
-    if unresolved:
-        return CheckResult.inconclusive("regular", unresolved[:5])
-    return CheckResult.passed("regular", window=len(window))
+    return CheckResult.law(
+        "regular", witnesses[:5], unresolved=unresolved[:5], window=len(window))
 
 
 def check_mha_axioms(instance: MhaInstance, window=None) -> list[CheckResult]:

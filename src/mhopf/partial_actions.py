@@ -107,6 +107,12 @@ class Globalization(LinearAction):
     gen_labels: tuple
     a_window: tuple
 
+    def acting_window(self, window=None) -> tuple:
+        # an integer n means: the first n tokens of the envelope's own window
+        if isinstance(window, int):
+            return self.a_window[:window]
+        return tuple(window) if window is not None else self.a_window
+
     def theta(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec):
             x = FinVec.basis(x)
@@ -137,6 +143,20 @@ def search_indicator_witness(ground, predicate, max_candidates=2048):
     return None, True
 
 
+def indicator_verdict(name, P: PartialActionData, ground, found, cap, fail_note):
+    """The verdict of an indicator search `found` = (witness, exhausted)
+    over `ground`: pass with the witness; fail when the subset lattice of
+    the full acting basis is exhausted; otherwise inconclusive."""
+    witness, exhausted = found
+    decided = exhausted and P.instance.algebra.is_finite() and set(ground) == set(
+        P.instance.algebra.basis)
+    gap = [] if witness is not None else [
+        {"note": fail_note, "ground": list(ground)} if decided else
+        {"note": "search exhausted a partial window" if exhausted
+         else "candidate cap reached", "cap": cap}]
+    return CheckResult.law(name, gap if decided else [], gap, witness=witness)
+
+
 def check_partial_action(
     P: PartialActionData,
     a_window=None,
@@ -164,18 +184,14 @@ def check_partial_action(
                     if lhs != rhs:
                         witnesses.append({"a": a, "b": b, "x": x, "y": y,
                                           "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("action_product_law", witnesses[:3]) if witnesses
-        else CheckResult.passed("action_product_law",
-                                a_window=len(aw), l_window=len(lw))
-    )
+    results.append(CheckResult.law(
+        "action_product_law", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
     action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
 
     witnesses = []
     if M.cov_iS is None:
-        results.append(CheckResult.failed(
-            "e_left_compatibility", [{"missing": "iS covered expansion"}]))
+        witnesses.append({"missing": "iS covered expansion"})
     else:
         for a in aw:
             for b in aw:
@@ -189,11 +205,8 @@ def check_partial_action(
                 img = P.e_map(a).apply_left(FinVec.basis(x))
                 if not action_span.contains(img):
                     witnesses.append({"a": a, "x": x, "outside_span": img})
-        results.append(
-            CheckResult.failed("e_left_compatibility", witnesses[:3]) if witnesses
-            else CheckResult.passed("e_left_compatibility",
-                                    a_window=len(aw), l_window=len(lw))
-        )
+    results.append(CheckResult.law(
+        "e_left_compatibility", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
     def unit_pred(b):
         for a in aw:
@@ -208,42 +221,23 @@ def check_partial_action(
                     return False
         return True
 
-    witness, exhausted = search_indicator_witness(aw, unit_pred, max_candidates)
-    full_ground = P.instance.algebra.is_finite() and set(aw) == set(
-        P.instance.algebra.basis)
-    if witness is not None:
-        results.append(CheckResult.passed("local_units", witness=witness))
-    elif exhausted and full_ground:
-        results.append(CheckResult.failed(
-            "local_units",
-            [{"note": "no indicator over the full basis satisfies both clauses",
-              "ground": list(aw)}],
-        ))
-    else:
-        results.append(CheckResult.inconclusive(
-            "local_units",
-            [{"note": "search exhausted a partial window" if exhausted
-              else "candidate cap reached", "cap": max_candidates}],
-        ))
+    results.append(indicator_verdict(
+        "local_units", P, aw, search_indicator_witness(aw, unit_pred, max_candidates),
+        max_candidates, "no indicator over the full basis satisfies both clauses"))
 
     def stacked(x_tok):
         return lincomb((P.act(a, x_tok).map_tokens(lambda t, a=a: (a, t)), 1) for a in aw)
 
     kernel = spans.kernel_of_map(lw, stacked)
-    results.append(
-        CheckResult.failed("nondegenerate", [{"kernel": v} for v in kernel[:3]])
-        if kernel else CheckResult.passed("nondegenerate", l_window=len(lw))
-    )
+    results.append(CheckResult.law(
+        "nondegenerate", [{"kernel": v} for v in kernel[:3]], l_window=len(lw)))
 
     witnesses = []
     for a in aw:
         res = multiplier_check(P.e_map(a), window=lw)
         if not res.ok():
             witnesses.append({"a": a, "violations": res.witnesses})
-    results.append(
-        CheckResult.failed("e_multiplier", witnesses[:3]) if witnesses
-        else CheckResult.passed("e_multiplier", a_window=len(aw))
-    )
+    results.append(CheckResult.law("e_multiplier", witnesses[:3], a_window=len(aw)))
 
     def is_counit_multiplier(a):
         m = P.e_map(a)
@@ -271,15 +265,10 @@ def check_partial_action(
                 break
         if not module_law:
             break
-    if e_is_counit == module_law:
-        results.append(CheckResult.passed(
-            "global_characterization", global_action=e_is_counit))
-    else:
-        results.append(CheckResult.failed(
-            "global_characterization",
-            [{"e_is_counit": e_is_counit, "module_law": module_law,
-              "law_witness": law_witness}],
-        ))
+    witnesses = [] if e_is_counit == module_law else [
+        {"e_is_counit": e_is_counit, "module_law": module_law, "law_witness": law_witness}]
+    results.append(CheckResult.law(
+        "global_characterization", witnesses, global_action=e_is_counit))
     return results
 
 
@@ -309,11 +298,8 @@ def check_symmetric(
                     if lhs != rhs:
                         witnesses.append({"a": a, "b": b, "x": x, "y": y,
                                           "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("symmetric_product_law", witnesses[:3]) if witnesses
-        else CheckResult.passed("symmetric_product_law",
-                                a_window=len(aw), l_window=len(lw))
-    )
+    results.append(CheckResult.law(
+        "symmetric_product_law", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
     witnesses = []
     for a in aw:
@@ -324,11 +310,8 @@ def check_symmetric(
                 if lhs != rhs:
                     witnesses.append({"a": a, "b": b, "x": x,
                                       "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("e_right_compatibility", witnesses[:3]) if witnesses
-        else CheckResult.passed("e_right_compatibility",
-                                a_window=len(aw), l_window=len(lw))
-    )
+    results.append(CheckResult.law(
+        "e_right_compatibility", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
     action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
     witnesses = []
@@ -337,10 +320,8 @@ def check_symmetric(
             img = P.e_map(a).apply_right(FinVec.basis(x))
             if not action_span.contains(img):
                 witnesses.append({"a": a, "x": x, "outside_span": img})
-    results.append(
-        CheckResult.failed("right_span", witnesses[:3]) if witnesses
-        else CheckResult.passed("right_span", a_window=len(aw), l_window=len(lw))
-    )
+    results.append(CheckResult.law(
+        "right_span", witnesses[:3], a_window=len(aw), l_window=len(lw)))
     return results
 
 
@@ -473,10 +454,7 @@ def check_a_projection(
         pv = proj.rule(v)
         if proj.rule(pv) != pv:
             witnesses.append({"x": t, "pi(x)": pv, "pi(pi(x))": proj.rule(pv)})
-    results.append(
-        CheckResult.failed("pi_idempotent", witnesses[:3]) if witnesses
-        else CheckResult.passed("pi_idempotent", r_window=len(rw))
-    )
+    results.append(CheckResult.law("pi_idempotent", witnesses[:3], r_window=len(rw)))
 
     witnesses = []
     image_vecs = [v for v in proj.image if not v.is_zero()]
@@ -488,10 +466,8 @@ def check_a_projection(
     for v in image_vecs:
         if proj.rule(v) != v:
             witnesses.append({"image_vec": v, "pi": proj.rule(v)})
-    results.append(
-        CheckResult.failed("pi_image", witnesses[:3]) if witnesses
-        else CheckResult.passed("pi_image", image_dim=spans.Span(image_vecs).rank)
-    )
+    results.append(CheckResult.law(
+        "pi_image", witnesses[:3], image_dim=spans.Span(image_vecs).rank))
 
     witnesses = []
     for s in rw:
@@ -500,10 +476,7 @@ def check_a_projection(
             rhs = ctx.algebra.mul(proj.rule(FinVec.basis(s)), proj.rule(FinVec.basis(t)))
             if lhs != rhs:
                 witnesses.append({"pair": (s, t), "pi(xy)": lhs, "pi(x)pi(y)": rhs})
-    results.append(
-        CheckResult.failed("pi_multiplicative", witnesses[:3]) if witnesses
-        else CheckResult.passed("pi_multiplicative", r_window=len(rw))
-    )
+    results.append(CheckResult.law("pi_multiplicative", witnesses[:3], r_window=len(rw)))
 
     sub = [v for v in proj.image if not v.is_zero()]
     witnesses = []
@@ -519,11 +492,8 @@ def check_a_projection(
                     if lhs != rhs:
                         witnesses.append({"a": a, "b": b, "x": x, "y": y,
                                           "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("a_projection_identity", witnesses[:3]) if witnesses
-        else CheckResult.passed("a_projection_identity",
-                                a_window=len(aw), sub_dim=len(sub))
-    )
+    results.append(CheckResult.law(
+        "a_projection_identity", witnesses[:3], a_window=len(aw), sub_dim=len(sub)))
 
     if symmetric:
         witnesses = []
@@ -539,12 +509,9 @@ def check_a_projection(
                         if lhs != rhs:
                             witnesses.append({"a": a, "b": b, "x": x, "y": y,
                                               "lhs": lhs, "rhs": rhs})
-        results.append(
-            CheckResult.failed("symmetric_projection_identity", witnesses[:3])
-            if witnesses else
-            CheckResult.passed("symmetric_projection_identity",
-                               a_window=len(aw), sub_dim=len(sub))
-        )
+        results.append(CheckResult.law(
+            "symmetric_projection_identity", witnesses[:3],
+            a_window=len(aw), sub_dim=len(sub)))
     return results
 
 
@@ -692,23 +659,12 @@ def quasi_unitary_witness(P: PartialActionData, elems, a_window=None,
 
 def check_quasi_unitary(P: PartialActionData, elems, a_window=None,
                         ground=None, max_candidates=2048) -> CheckResult:
-    witness, exhausted = quasi_unitary_witness(
+    found = quasi_unitary_witness(
         P, elems, a_window=a_window, ground=ground, max_candidates=max_candidates)
     gtoks = tuple(ground) if ground is not None else P.acting_window(a_window)
-    if witness is not None:
-        return CheckResult.passed("quasi_unitary", witness=witness)
-    full_ground = P.instance.algebra.is_finite() and set(gtoks) == set(
-        P.instance.algebra.basis)
-    if exhausted and full_ground:
-        return CheckResult.failed(
-            "quasi_unitary",
-            [{"note": "subset lattice of the full basis exhausted without witness",
-              "ground": list(gtoks)}],
-        )
-    return CheckResult.inconclusive(
-        "quasi_unitary",
-        [{"note": "search exhausted a partial window" if exhausted
-          else "candidate cap reached", "cap": max_candidates}])
+    return indicator_verdict(
+        "quasi_unitary", P, gtoks, found, max_candidates,
+        "subset lattice of the full basis exhausted without witness")
 
 
 def phi_embed(P: PartialActionData, x, witness=None, a_window=None,
@@ -878,7 +834,7 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
     monomorphism onto an ideal, projection compatibility, generation."""
     P = G.action
     M = P.instance
-    aw = tuple(a_window) if a_window is not None else G.a_window
+    aw = G.acting_window(a_window)
     lbasis = P.algebra.basis
     results = []
 
@@ -894,11 +850,8 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
                 rhs = G.act_vec(ab, v)
                 if lhs != rhs:
                     witnesses.append({"a": a, "b": b, "v": v, "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("env_module_law", witnesses[:3]) if witnesses
-        else CheckResult.passed("env_module_law", a_window=len(aw),
-                                generators=len(nonzero_gens))
-    )
+    results.append(CheckResult.law(
+        "env_module_law", witnesses[:3], a_window=len(aw), generators=len(nonzero_gens)))
 
     witnesses = []
     unresolved = []
@@ -920,12 +873,8 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
                 )(bilinear(M.delta_r)(FinVec.basis(a), cover))
                 if lhs != rhs:
                     witnesses.append({"a": a, "v": v, "w": w, "lhs": lhs, "rhs": rhs})
-    if witnesses:
-        results.append(CheckResult.failed("env_product_law", witnesses[:3]))
-    elif unresolved:
-        results.append(CheckResult.inconclusive("env_product_law", unresolved[:3]))
-    else:
-        results.append(CheckResult.passed("env_product_law", a_window=len(aw)))
+    results.append(CheckResult.law(
+        "env_product_law", witnesses[:3], unresolved[:3], a_window=len(aw)))
 
     witnesses = []
     for x in lbasis:
@@ -938,10 +887,7 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
     kernel = spans.kernel_of_map(lbasis, lambda t: G.theta_map[t])
     for v in kernel[:2]:
         witnesses.append({"kernel": v})
-    results.append(
-        CheckResult.failed("theta_monomorphism", witnesses[:3]) if witnesses
-        else CheckResult.passed("theta_monomorphism", dim=len(lbasis))
-    )
+    results.append(CheckResult.law("theta_monomorphism", witnesses[:3], dim=len(lbasis)))
 
     theta_vecs = [G.theta_map[x] for x in lbasis]
     theta_span = spans.Span(theta_vecs)
@@ -951,10 +897,8 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
             prod = G.algebra.mul(G.theta_map[x], v)
             if not theta_span.contains(prod):
                 witnesses.append({"x": x, "v": v, "product": prod})
-    results.append(
-        CheckResult.failed("theta_right_ideal", witnesses[:3]) if witnesses
-        else CheckResult.passed("theta_right_ideal", generators=len(nonzero_gens))
-    )
+    results.append(CheckResult.law(
+        "theta_right_ideal", witnesses[:3], generators=len(nonzero_gens)))
 
     if symmetric:
         witnesses = []
@@ -963,11 +907,8 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
                 prod = G.algebra.mul(v, G.theta_map[x])
                 if not theta_span.contains(prod):
                     witnesses.append({"x": x, "v": v, "product": prod})
-        results.append(
-            CheckResult.failed("theta_two_sided_ideal", witnesses[:3]) if witnesses
-            else CheckResult.passed("theta_two_sided_ideal",
-                                    generators=len(nonzero_gens))
-        )
+        results.append(CheckResult.law(
+            "theta_two_sided_ideal", witnesses[:3], generators=len(nonzero_gens)))
 
     witnesses = []
     for a in aw:
@@ -977,11 +918,8 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
             if lhs != rhs:
                 witnesses.append({"a": a, "x": x, "theta(a.x)": lhs,
                                   "pi(a|>theta(x))": rhs})
-    results.append(
-        CheckResult.failed("theta_pi_equivalence", witnesses[:3]) if witnesses
-        else CheckResult.passed("theta_pi_equivalence",
-                                a_window=len(aw), basis=len(lbasis))
-    )
+    results.append(CheckResult.law(
+        "theta_pi_equivalence", witnesses[:3], a_window=len(aw), basis=len(lbasis)))
 
     witnesses = []
     gen_span = spans.Span(nonzero_gens)
@@ -993,10 +931,8 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
             prod = G.algebra.mul(v, w)
             if not gen_span.contains(prod):
                 witnesses.append({"product_outside": (v, w)})
-    results.append(
-        CheckResult.failed("generation", witnesses[:3]) if witnesses
-        else CheckResult.passed("generation", generators=len(nonzero_gens))
-    )
+    results.append(CheckResult.law(
+        "generation", witnesses[:3], generators=len(nonzero_gens)))
 
     witnesses = []
     for v in nonzero_gens:
@@ -1025,17 +961,14 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
                     if lhs != rhs:
                         witnesses.append({"law": "left", "a": a, "b": b,
                                           "lhs": lhs, "rhs": rhs})
-    results.append(
-        CheckResult.failed("pi_a_projection", witnesses[:3]) if witnesses
-        else CheckResult.passed("pi_a_projection", a_window=len(aw))
-    )
+    results.append(CheckResult.law("pi_a_projection", witnesses[:3], a_window=len(aw)))
     return results
 
 
 def check_minimal(G: Globalization, battery=None, a_window=None) -> CheckResult:
     """pi must detect every nonzero element of each cyclic submodule: if
     pi kills all translates of v, then v = 0."""
-    aw = tuple(a_window) if a_window is not None else G.a_window
+    aw = G.acting_window(a_window)
     if battery is None:
         battery = list(G.generators) + [G.theta_map[x] for x in G.action.algebra.basis]
     witnesses = []
@@ -1046,9 +979,7 @@ def check_minimal(G: Globalization, battery=None, a_window=None) -> CheckResult:
             continue
         if all(G.pi(G.act_vec(FinVec.basis(a), v)).is_zero() for a in aw):
             witnesses.append({"v": v})
-    if witnesses:
-        return CheckResult.failed("minimal", witnesses[:3])
-    return CheckResult.passed("minimal", battery=len(battery))
+    return CheckResult.law("minimal", witnesses[:3], battery=len(battery))
 
 
 def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]:
@@ -1072,10 +1003,7 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
         image = via2(k)
         if not image.is_zero():
             witnesses.append({"coeffs": k, "image": image})
-    results.append(
-        CheckResult.failed("well_defined", witnesses[:3]) if witnesses
-        else CheckResult.passed("well_defined", relations=len(kernel1))
-    )
+    results.append(CheckResult.law("well_defined", witnesses[:3], relations=len(kernel1)))
 
     generators1 = spans.Span(G1.generators)
 
@@ -1096,10 +1024,7 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
             prod2 = G2.algebra.mul(G2.generators[i], G2.generators[j])
             if mapped != prod2:
                 witnesses.append({"pair": (i, j), "mapped": mapped, "direct": prod2})
-    results.append(
-        CheckResult.failed("homomorphism", witnesses[:3]) if witnesses
-        else CheckResult.passed("homomorphism", pairs=n * n)
-    )
+    results.append(CheckResult.law("homomorphism", witnesses[:3], pairs=n * n))
 
     witnesses = []
     for a in G1.a_window:
@@ -1111,13 +1036,11 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
                 continue
             if mapped != G2.act_vec(FinVec.basis(a), G2.generators[i]):
                 witnesses.append({"a": a, "i": i, "mapped": mapped})
-    results.append(
-        CheckResult.failed("module_map", witnesses[:3]) if witnesses
-        else CheckResult.passed("module_map", a_window=len(G1.a_window))
-    )
+    results.append(CheckResult.law(
+        "module_map", witnesses[:3], a_window=len(G1.a_window)))
 
-    results.append(CheckResult.passed(
-        "surjective_onto_generators", note="generator-to-generator by construction"))
+    results.append(CheckResult.law(
+        "surjective_onto_generators", [], note="generator-to-generator by construction"))
 
     kernel2 = spans.kernel_of_map(idx, lambda i: G2.generators[i])
     witnesses = []
@@ -1125,8 +1048,5 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
         pre = via1(k)
         if not pre.is_zero():
             witnesses.append({"kernel_element": pre, "coeffs": k})
-    results.append(
-        CheckResult.failed("injective", witnesses[:3]) if witnesses
-        else CheckResult.passed("injective", relations=len(kernel2))
-    )
+    results.append(CheckResult.law("injective", witnesses[:3], relations=len(kernel2)))
     return results

@@ -1,8 +1,14 @@
 """Check results and deterministic report rendering.
 
-A check yields pass, fail (with exact witnesses) or inconclusive (a search
-bound was exhausted before a verdict).  Reports render to canonical JSON:
-same scenario and seed means byte-identical output.
+A check yields pass, fail (with exact witnesses) or inconclusive, and every
+law reaches its verdict through `CheckResult.law`.  Inconclusive comes from
+an indicator search that hit its cap or a partial window (`local_units`,
+`quasi_unitary`, `env_product_law`), from `regular` on a partial window,
+and from the fixed-reason lines of a coenvelope (`closure_bounded`,
+`subcomodule_window`, `generators_recovered` past `dim_bound`, or with no
+window element of nonzero counit; `unital_specialization` with no unit).
+Reports render to canonical JSON: same scenario and seed means
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,12 +49,17 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     @staticmethod
-    def passed(name, **details):
-        return CheckResult(name, PASS, [], details)
+    def law(name, witnesses, unresolved=(), **details):
+        """The verdict of one law, the only way a battery reaches one.
 
-    @staticmethod
-    def failed(name, witnesses, **details):
-        return CheckResult(name, FAIL, list(witnesses), details)
+        Fail with exactly the given witnesses and no details; otherwise
+        inconclusive with `unresolved` as its reason; otherwise pass with
+        `details`.  Witness caps and early exits belong to the caller."""
+        if witnesses:
+            return CheckResult(name, FAIL, list(witnesses))
+        if unresolved:
+            return CheckResult.inconclusive(name, unresolved)
+        return CheckResult(name, PASS, [], details)
 
     @staticmethod
     def inconclusive(name, reason, **details):
@@ -66,34 +77,6 @@ class CheckResult:
             "witnesses": [render_value(w) for w in self.witnesses],
             "details": render_value(self.details),
         }
-
-
-class ResultSink:
-    """Collects named sub-results for one check battery."""
-
-    def __init__(self):
-        self.results: list[CheckResult] = []
-
-    def add(self, result: CheckResult):
-        self.results.append(result)
-        return result
-
-    def law(self, name, witnesses, **details):
-        """Record a law that holds iff the witness list is empty."""
-        if witnesses:
-            return self.add(CheckResult.failed(name, witnesses, **details))
-        return self.add(CheckResult.passed(name, **details))
-
-    def ok(self) -> bool:
-        return all(r.outcome == PASS for r in self.results)
-
-    def outcome(self) -> str:
-        outcomes = {r.outcome for r in self.results}
-        if FAIL in outcomes:
-            return FAIL
-        if INCONCLUSIVE in outcomes:
-            return INCONCLUSIVE
-        return PASS
 
 
 @dataclass

@@ -22,6 +22,7 @@ byte-identical report.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -259,7 +260,7 @@ def _random_hom_samples(rng, source, target, count):
         table = {}
         for g in rng.sample(toks, k=min(3, len(toks))):
             vec = FinVec(
-                (t, Fraction(rng.randint(-4, 4)))
+                (t, rng.randint(-4, 4))
                 for t in rng.sample(ttoks, k=min(2, len(ttoks)))
             )
             if vec:
@@ -402,19 +403,17 @@ def _chk_dual_module_law(ctx, entry, window, rng):
     count = entry.get("samples", 24)
     for _ in range(count):
         w1 = coactions.DualFunctional(
-            table=FinVec.basis(rng.choice(toks), Fraction(rng.randint(1, 5)))
+            table=FinVec.basis(rng.choice(toks), rng.randint(1, 5))
         )
         w2 = coactions.DualFunctional(
-            table=FinVec.basis(rng.choice(toks), Fraction(rng.randint(-5, -1)))
+            table=FinVec.basis(rng.choice(toks), rng.randint(-5, -1))
         )
         v = rng.choice(G.q_basis)
         lhs = coactions.dual_act(G.comodule, coactions.dual_mul(inst, w1, w2), v)
         rhs = coactions.dual_act(G.comodule, w1, coactions.dual_act(G.comodule, w2, v))
         if lhs != rhs:
             witnesses.append({"w1": w1.table, "w2": w2.table})
-    if witnesses:
-        return [CheckResult.failed("dual_module_law", witnesses[:4])]
-    return [CheckResult.passed("dual_module_law", samples=count)]
+    return [CheckResult.law("dual_module_law", witnesses[:4], samples=count)]
 
 
 CHECKS = {
@@ -586,15 +585,10 @@ def run_scenario(doc: dict, seed=None, window=None) -> Report:
             raise ScenarioError(
                 f"{doc['name']}: check {name!r} failed to run: {exc}"
             ) from exc
-        for line in lines:
-            report.checks.append(
-                CheckResult(
-                    name=f"{name}:{label}.{line.name}",
-                    outcome=line.outcome,
-                    witnesses=line.witnesses,
-                    details=line.details,
-                )
-            )
+        report.checks.extend(
+            dataclasses.replace(line, name=f"{name}:{label}.{line.name}")
+            for line in lines
+        )
     return report
 
 

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from mhopf.scenarios import builtin_scenarios
+
 CLI = [sys.executable, "-m", "mhopf.cli"]
 
 BUNDLED_EXIT = {
@@ -182,3 +184,14 @@ class TestOutputOptions:
     def test_window_flag_accepted(self):
         res = run_cli("run", "mha_axioms", "--window", "2")
         assert res.returncode == 0
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_window_flag_runs_every_bundled_scenario(name, window):
+    # a window may turn verdicts into fail or inconclusive, never into a crash
+    res = run_cli("run", name, "--window", str(window))
+    assert "Traceback" not in res.stderr, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["window"] == window
+    assert res.returncode == {"pass": 0, "fail": 1, "inconclusive": 2}[doc["outcome"]]

@@ -9,9 +9,12 @@ group action), and the S3 partial action checked on a one-token window.
 
 ``windowed_fN_S3`` pins today's windowed verdicts, including false failures:
 on a partial window the existence and span laws (``e_left_compatibility``,
-``nondegenerate``, ``right_span``) report ``fail`` on a lawful action.  The
-ROADMAP item on windows over infinite groups is expected to rewrite that
-snapshot.
+``nondegenerate``, ``right_span``) report ``fail`` on a lawful action.
+ROADMAP item 3 (windows on infinite groups, honest windowed verdicts) is
+expected to rewrite that snapshot.
+
+The snapshots were recorded before the verdict code was routed through
+``CheckResult.law``; a change that alters them must say why.
 """
 
 import pathlib

@@ -227,3 +227,36 @@ def test_no_true_division_outside_a_fraction():
                 ):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.alias, ast.ClassDef)):
+        return node.name
+    return None
+
+
+def test_verdicts_come_from_checkresult_law():
+    """Every law reaches its verdict through `CheckResult.law`: no module
+    but `reports.py` constructs a `CheckResult` or calls the deleted
+    `CheckResult.passed` / `failed`, and no module names `ResultSink`."""
+    offenders = []
+    for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _names(node) == "ResultSink":
+                offenders.append(f"{path.name}:{node.lineno}: ResultSink")
+            if path.name == "reports.py" or not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if _names(func) == "CheckResult":
+                offenders.append(f"{path.name}:{node.lineno}: CheckResult(...)")
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("passed", "failed")
+                and _names(func.value) == "CheckResult"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: CheckResult.{func.attr}")
+    assert offenders == []
