@@ -13,9 +13,8 @@ algebra M(A) on a declared validity window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import spans
 from .errors import CapabilityError, NoLocalUnitError, StructuralError, WindowError
@@ -24,8 +23,7 @@ from .reports import CheckResult
 from .vectors import FinVec, LinearMapTable, bilinear, lincomb, tensor, token_key
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(NamedTuple):
     name: str
     mul_basis: Callable[[object, object], FinVec]
     basis: Optional[tuple] = None

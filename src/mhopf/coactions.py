@@ -32,10 +32,9 @@ projection pi) with its full verification battery.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import spans
 from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_check, tensor_square_algebra
@@ -47,8 +46,7 @@ from .vectors import FinVec, bilinear, lincomb, linear, tensor, tensor_map
 PairRule = Callable[[object, object], FinVec]
 
 
-@dataclass(frozen=True)
-class PartialCoactionData:
+class PartialCoactionData(NamedTuple):
     """Covered partial coaction (L, rho, E) of the instance A on L.
 
     rho_r(x_tok, a_tok) and rho_l(a_tok, x_tok) return vectors on pair
@@ -62,7 +60,7 @@ class PartialCoactionData:
     rho_l: PairRule
     E: Multiplier
     a_window: Optional[tuple] = None
-    aux: Mapping = field(default_factory=dict, compare=False)
+    aux: Mapping = MappingProxyType({})
 
     def window(self, window=None):
         if isinstance(window, int):
@@ -82,8 +80,7 @@ class PartialCoactionData:
         return bilinear(self.rho_r)(x, a)
 
 
-@dataclass(frozen=True)
-class GlobalComodule:
+class GlobalComodule(NamedTuple):
     """Honest comodule algebra carried by covered rules only.
 
     rho_r(r_tok, a_tok) lands in R (x) A as pairs (r_tok', a_tok'); rho_l
@@ -95,7 +92,7 @@ class GlobalComodule:
     instance: MhaInstance
     rho_r: PairRule
     rho_l: Optional[PairRule] = None
-    aux: Mapping = field(default_factory=dict, compare=False)
+    aux: Mapping = MappingProxyType({})
 
     def rho_r_vec(self, x: FinVec, a: FinVec) -> FinVec:
         return bilinear(self.rho_r)(x, a)
@@ -191,7 +188,7 @@ def mutate_coaction(C: PartialCoactionData, kind: str) -> PartialCoactionData:
             return C.E.apply_right(FinVec.basis(tok)).scale(2)
 
         bad = Multiplier.from_rules(C.E.algebra, left, right, C.E.window)
-        return dataclasses.replace(C, name=f"{C.name}#e_scale", E=bad)
+        return C._replace(name=f"{C.name}#e_scale", E=bad)
     if kind == "rho_drop":
         first = C.target_basis()[0]
 
@@ -205,7 +202,7 @@ def mutate_coaction(C: PartialCoactionData, kind: str) -> PartialCoactionData:
                 return FinVec()
             return C.rho_l(a, x)
 
-        return dataclasses.replace(C, name=f"{C.name}#rho_drop", rho_r=rho_r, rho_l=rho_l)
+        return C._replace(name=f"{C.name}#rho_drop", rho_r=rho_r, rho_l=rho_l)
     raise CapabilityError(f"unknown coaction mutation {kind!r}")
 
 
@@ -393,8 +390,7 @@ def check_quasi_counitary(instance: MhaInstance, e: FinVec, window=None):
     return results
 
 
-@dataclass(frozen=True)
-class DualFunctional:
+class DualFunctional(NamedTuple):
     """Finitely supported functional on A's basis, optionally sandwiched.
 
     Realizes omega(a _ b): evaluation against a vector t computes
@@ -542,8 +538,7 @@ def generated_subcomodule(com: GlobalComodule, elems: Sequence[FinVec], window=N
     return tuple(basis), results
 
 
-@dataclass(frozen=True)
-class CoactionGlobalization:
+class CoactionGlobalization(NamedTuple):
     """Enveloping coaction of a partial coaction inside L (x) A.
 
     The envelope is the comodule algebra generated by theta(L) under
@@ -557,8 +552,8 @@ class CoactionGlobalization:
     q_basis: tuple
     theta_map: Mapping
     e: FinVec
-    pi_rule: Callable[[FinVec], FinVec] = field(compare=False)
-    aux: Mapping = field(default_factory=dict, compare=False)
+    pi_rule: Callable[[FinVec], FinVec]
+    aux: Mapping = MappingProxyType({})
 
     def theta(self, x: FinVec) -> FinVec:
         return linear(self.theta_map.__getitem__)(x)
@@ -600,7 +595,7 @@ def coaction_globalize(C: PartialCoactionData, e: FinVec, a_window=None, dim_bou
 
 def with_identity_pi(G: CoactionGlobalization) -> CoactionGlobalization:
     """Negative control: forget the cut-down and use pi = id."""
-    return dataclasses.replace(G, name=f"{G.name}#pi_identity", pi_rule=lambda v: v)
+    return G._replace(name=f"{G.name}#pi_identity", pi_rule=lambda v: v)
 
 
 def _pi_tensor(G: CoactionGlobalization, triple: FinVec) -> FinVec:

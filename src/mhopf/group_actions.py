@@ -13,8 +13,8 @@ roundtrip_check confirms the two conversions compose to the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import spans
 from .algebras import (
@@ -36,8 +36,7 @@ from .vectors import FinVec, lincomb, token_key
 AlphaMap = Callable[[FinVec], FinVec]
 
 
-@dataclass(frozen=True)
-class PartialGroupAction:
+class PartialGroupAction(NamedTuple):
     """Corner data (sigma_g, alpha_g) for a finite group acting partially."""
 
     name: str
@@ -46,7 +45,7 @@ class PartialGroupAction:
     sigma: Mapping
     alpha: Mapping
     corners: Mapping
-    aux: dict = field(default_factory=dict, compare=False, repr=False)
+    aux: Mapping = MappingProxyType({})
 
     def corner(self, g) -> tuple:
         return self.corners[g]

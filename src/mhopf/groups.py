@@ -5,22 +5,20 @@ for permutations)."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import StructuralError
 from .reports import CheckResult
 from .vectors import token_key
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     name: str
     identity: object
     mul: Callable[[object, object], object]
     inv: Callable[[object], object]
     elements: Optional[tuple] = None
-    encode: Callable[[object], object] = field(default=lambda t: t)
+    encode: Callable[[object], object] = lambda t: t
 
     def is_finite(self) -> bool:
         return self.elements is not None

@@ -49,15 +49,6 @@ class HomRElem:
     def zero(source: MhaInstance, target: Algebra) -> "HomRElem":
         return HomRElem(source, target)
 
-    @staticmethod
-    def from_rule(source: MhaInstance, target: Algebra, rule: Rule, a: FinVec) -> "HomRElem":
-        """Collapse f(_a): table g -> f(delta_g a)."""
-        extend = linear(rule)
-        return HomRElem(source, target, (
-            (g, extend(source.algebra.mul(FinVec.basis(g), a)))
-            for g in _right_support(source, a)
-        ))
-
     def support(self):
         return sorted(self._table, key=token_key)
 
@@ -108,18 +99,6 @@ def _same_spaces(F: HomRElem, G: HomRElem) -> None:
         raise StructuralError("operands live over different source or target")
 
 
-def _right_support(source: MhaInstance, a: FinVec):
-    """Tokens g with delta_g a possibly nonzero.
-
-    Pointwise products vanish off supp(a); general products do not thin, so
-    only the pointwise family admits a finite answer, which is what the
-    capability flag guarantees.
-    """
-    if source.algebra.pointwise:
-        return a.support()
-    raise CapabilityError(f"{source.name} has no finite right-support rule")
-
-
 def support_indicator(F: HomRElem) -> FinVec:
     """The canonical covering element: f(_a) with a the support indicator
     reproduces the table exactly."""
@@ -160,11 +139,6 @@ def module_act(a, F: HomRElem) -> HomRElem:
         F.source, F.target,
         {g: F.value(g).scale(a[g]) for g in F.support() if a[g] != 0},
     )
-
-
-def zero_act(a, F: HomRElem) -> HomRElem:
-    """Degenerate action used by fail fixtures."""
-    return HomRElem.zero(F.source, F.target)
 
 
 def default_samples(M: MhaInstance, R: Algebra, window) -> list[HomRElem]:

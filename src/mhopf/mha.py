@@ -16,10 +16,8 @@ constants for finite unital algebras.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import spans
 from .algebras import Algebra, group_algebra_plain, pointwise_algebra
@@ -31,8 +29,7 @@ from .vectors import FinVec, bilinear, linear, tensor_map, token_key
 PairRule = Callable[[object, object], FinVec]
 
 
-@dataclass(frozen=True)
-class MhaInstance:
+class MhaInstance(NamedTuple):
     name: str
     algebra: Algebra
     delta_r: PairRule
@@ -219,23 +216,20 @@ def mha_from_delta(
 def mutate_instance(instance: MhaInstance, kind: str) -> MhaInstance:
     """Deterministic corruptions used by fail fixtures and mutation tests."""
     if kind == "antipode":
-        return dataclasses.replace(
-            instance,
+        return instance._replace(
             name=instance.name + "~antipode",
             antipode=lambda g: FinVec.basis(g),
             antipode_inv=lambda g: FinVec.basis(g),
         )
     if kind == "counit":
         base = instance.counit
-        return dataclasses.replace(
-            instance,
+        return instance._replace(
             name=instance.name + "~counit",
             counit=lambda g: base(g) + 1,
         )
     if kind == "delta":
         base_rule = instance.delta_r
-        return dataclasses.replace(
-            instance,
+        return instance._replace(
             name=instance.name + "~delta",
             delta_r=lambda a, b: base_rule(a, b).map_tokens(lambda p: (p[1], p[0])),
         )

@@ -18,14 +18,18 @@ The globalization machinery realizes the target inside a module algebra of
 finitely supported functions: theta(x) has table g |-> delta_g . x, the
 envelope is spanned by translates a |> theta(x), and the projection
 collapses a table back into the target.
+
+The bilinear extension `act_vec` of a basis rule `act` is the module
+function `_act_vec`, bound as a method in `PartialActionData`,
+`GlobalAction` and `Globalization`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import spans
 from .algebras import (
@@ -48,27 +52,25 @@ from .vectors import FinVec, bilinear, lincomb, linear, token_key
 ActRule = Callable[[object, object], FinVec]
 
 
-class LinearAction:
-    """Mixin for structures with a basis rule `act(a_tok, x_tok)`."""
-
-    def act_vec(self, a: FinVec, x: FinVec) -> FinVec:
-        """Bilinear extension of `act`; bare tokens count as basis vectors."""
-        if not isinstance(a, FinVec):
-            a = FinVec.basis(a)
-        if not isinstance(x, FinVec):
-            x = FinVec.basis(x)
-        return bilinear(self.act)(a, x)
+def _act_vec(self, a: FinVec, x: FinVec) -> FinVec:
+    """Bilinear extension of `self.act`; bare tokens count as basis vectors."""
+    if not isinstance(a, FinVec):
+        a = FinVec.basis(a)
+    if not isinstance(x, FinVec):
+        x = FinVec.basis(x)
+    return bilinear(self.act)(a, x)
 
 
-@dataclass(frozen=True)
-class PartialActionData(LinearAction):
+class PartialActionData(NamedTuple):
     name: str
     instance: MhaInstance
     algebra: Algebra
     act: ActRule
     e_map: Callable[[object], Multiplier]
     a_window: Optional[tuple] = None
-    aux: dict = field(default_factory=dict, compare=False, repr=False)
+    aux: Mapping = MappingProxyType({})
+
+    act_vec = _act_vec
 
     def acting_window(self, window=None) -> tuple:
         if isinstance(window, int):
@@ -80,23 +82,22 @@ class PartialActionData(LinearAction):
         return self.instance.basis_window(None)
 
 
-@dataclass(frozen=True)
-class GlobalAction(LinearAction):
+class GlobalAction(NamedTuple):
     name: str
     instance: MhaInstance
     algebra: Algebra
     act: ActRule
 
+    act_vec = _act_vec
 
-@dataclass(frozen=True)
-class AProjection:
+
+class AProjection(NamedTuple):
     context: GlobalAction
     rule: Callable[[FinVec], FinVec]
     image: tuple
 
 
-@dataclass(frozen=True)
-class Globalization(LinearAction):
+class Globalization(NamedTuple):
     name: str
     action: PartialActionData
     algebra: Algebra
@@ -106,6 +107,8 @@ class Globalization(LinearAction):
     generators: tuple
     gen_labels: tuple
     a_window: tuple
+
+    act_vec = _act_vec
 
     def acting_window(self, window=None) -> tuple:
         # an integer n means: the first n tokens of the envelope's own window
@@ -822,10 +825,6 @@ def relabel_globalization(G: Globalization, token_fn, name=None) -> Globalizatio
         gen_labels=G.gen_labels,
         a_window=G.a_window,
     )
-
-
-def with_zero_pi(G: Globalization) -> Globalization:
-    return replace(G, name=G.name + "~zero-pi", pi_rule=lambda v: FinVec())
 
 
 def check_enveloping(G: Globalization, a_window=None, symmetric=True,

@@ -14,8 +14,8 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .vectors import FinVec, format_token
 
@@ -41,12 +41,11 @@ def render_value(value):
     return format_token(value)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     outcome: str
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    witnesses: list
+    details: dict
 
     @staticmethod
     def law(name, witnesses, unresolved=(), **details):
@@ -56,7 +55,7 @@ class CheckResult:
         inconclusive with `unresolved` as its reason; otherwise pass with
         `details`.  Witness caps and early exits belong to the caller."""
         if witnesses:
-            return CheckResult(name, FAIL, list(witnesses))
+            return CheckResult(name, FAIL, list(witnesses), {})
         if unresolved:
             return CheckResult.inconclusive(name, unresolved)
         return CheckResult(name, PASS, [], details)
@@ -79,12 +78,11 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scenario: str
     seed: int
     window: int
-    checks: list = field(default_factory=list)
+    checks: list
 
     def outcome(self) -> str:
         outcomes = [c.outcome for c in self.checks]

@@ -22,7 +22,6 @@ byte-identical report.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -566,7 +565,7 @@ def run_scenario(doc: dict, seed=None, window=None) -> Report:
             raise ScenarioError(
                 f"{doc['name']}: building {entry['id']!r} failed: {exc}"
             ) from exc
-    report = Report(scenario=doc["name"], seed=seed, window=window)
+    report = Report(scenario=doc["name"], seed=seed, window=window, checks=[])
     for entry in doc["checks"]:
         name = entry.get("check")
         if name not in CHECKS:
@@ -586,7 +585,7 @@ def run_scenario(doc: dict, seed=None, window=None) -> Report:
                 f"{doc['name']}: check {name!r} failed to run: {exc}"
             ) from exc
         report.checks.extend(
-            dataclasses.replace(line, name=f"{name}:{label}.{line.name}")
+            line._replace(name=f"{name}:{label}.{line.name}")
             for line in lines
         )
     return report

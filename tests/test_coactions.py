@@ -99,10 +99,8 @@ class TestQuasiCounitary:
             assert by_name["counit_one"].outcome == "fail", g
 
     def test_needs_regular_instance(self, AG_S3, S3):
-        import dataclasses
-
-        stripped = dataclasses.replace(
-            AG_S3, antipode_inv=None, delta_r_flip=None, delta_l_flip=None)
+        stripped = AG_S3._replace(
+            antipode_inv=None, delta_r_flip=None, delta_l_flip=None)
         with pytest.raises(CapabilityError):
             check_quasi_counitary(stripped, FinVec.basis(S3.identity))
 

@@ -1,6 +1,5 @@
 """Standard envelopes of symmetric partial actions and their minimality."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from mhopf.algebras import Multiplier
 from mhopf.errors import StructuralError
 from mhopf.groups import alternating_elements
 from mhopf.partial_actions import (
+    Globalization,
     check_enveloping,
     check_minimal,
     compare_envelopes,
@@ -16,11 +16,14 @@ from mhopf.partial_actions import (
     globalize,
     junk_globalization,
     relabel_globalization,
-    with_zero_pi,
 )
 from mhopf.vectors import FinVec
 
 F = Fraction
+
+
+def with_zero_pi(G: Globalization) -> Globalization:
+    return G._replace(name=G.name + "~zero-pi", pi_rule=lambda v: FinVec())
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +75,8 @@ class TestEnvelope:
                 assert theta_span.contains(prod)
 
     def test_broken_action_rejected(self, action):
-        broken = dataclasses.replace(
-            action, e_map=lambda a: Multiplier.identity(action.algebra))
+        broken = action._replace(
+            e_map=lambda a: Multiplier.identity(action.algebra))
         with pytest.raises(StructuralError, match="not a symmetric partial action"):
             globalize(broken)
 
@@ -96,6 +99,12 @@ class TestMinimalityContrast:
         assert by_name["injective"].outcome == "fail"
         w = by_name["injective"].witnesses[0]
         assert not w["kernel_element"].is_zero()
+
+    def test_zero_pi_replaces_only_name_and_pi(self, envelope):
+        crippled = with_zero_pi(envelope)
+        assert type(crippled) is type(envelope)
+        kept = set(envelope._fields) - {"name", "pi_rule"}
+        assert all(getattr(crippled, f) is getattr(envelope, f) for f in kept)
 
     def test_zero_pi_fails_battery(self, envelope):
         crippled = with_zero_pi(envelope)

@@ -1,7 +1,6 @@
 """Corner pairs (sigma_g, alpha_g) for finite groups and the passage to
 module-algebra data over the group algebra."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -175,7 +174,7 @@ class TestMutations:
             lambda t: FinVec(),
             window=Q.algebra.basis,
         )
-        broken = dataclasses.replace(Q, e_map=lambda g: lopsided)
+        broken = Q._replace(e_map=lambda g: lopsided)
         with pytest.raises(StructuralError, match="not central, witness"):
             to_group(broken, skip_checks=True)
 

@@ -23,13 +23,17 @@ from mhopf.homr import (
     conv_mul,
     conv_mul_generic,
     module_act,
-    zero_act,
 )
 from mhopf.mha import instance_for
 from mhopf.scenarios import _random_hom_samples
 from mhopf.vectors import FinVec
 
 F = Fraction
+
+
+def zero_act(a, F: HomRElem) -> HomRElem:
+    """Degenerate action used by fail fixtures."""
+    return HomRElem.zero(F.source, F.target)
 
 
 def conv_oracle(group, target, f, g):
@@ -157,10 +161,8 @@ class TestConvolutiveInverse:
 
     def test_irregular_instance_rejected(self, C4):
         M = instance_for("A_G", C4)
-        import dataclasses
-
-        stripped = dataclasses.replace(M, antipode_inv=None, delta_r_flip=None,
-                                       delta_l_flip=None)
+        stripped = M._replace(antipode_inv=None, delta_r_flip=None,
+                              delta_l_flip=None)
         assert not stripped.is_regular()
         with pytest.raises(CapabilityError):
             check_convolutive_inverse(

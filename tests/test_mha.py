@@ -5,7 +5,6 @@ function tables on G x G; the group-algebra rules by multiplying out in
 the tensor square algebra.  Neither oracle touches the closed forms.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -326,8 +325,8 @@ class TestRegularOnPartialWindows:
 
     def test_kernel_witnesses_on_a_partial_window(self, kG_S3):
         # the swap-symmetrised flip identifies (a,b) with (b,a)
-        bad = dataclasses.replace(
-            kG_S3, delta_r_flip=lambda a, b: FinVec.basis((a, b)) + FinVec.basis((b, a))
+        bad = kG_S3._replace(
+            delta_r_flip=lambda a, b: FinVec.basis((a, b)) + FinVec.basis((b, a))
         )
         res = check_regular(bad, 3)
         assert res.outcome == "fail"
