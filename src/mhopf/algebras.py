@@ -20,7 +20,7 @@ from . import spans
 from .errors import CapabilityError, NoLocalUnitError, StructuralError, WindowError
 from .groups import GroupSpec
 from .reports import CheckResult
-from .vectors import FinVec, LinearMapTable, bilinear, lincomb, tensor, token_key
+from .vectors import FinVec, LinearMapTable, bilinear, lincomb, once_per_pair, tensor, token_key
 
 
 class Algebra(NamedTuple):
@@ -50,23 +50,6 @@ class Algebra(NamedTuple):
         return self.basis
 
 
-def once_per_pair(rule: Callable[[object, object], object]):
-    """`rule` computed once per ordered pair of tokens.
-
-    The results fill a dict on demand, with no eviction: over a finite
-    basis of n tokens it holds at most n * n vectors.  The pair is ordered
-    because the product need not commute."""
-    table = {}
-
-    def cached(i, j):
-        out = table.get((i, j))
-        if out is None:
-            out = table[i, j] = rule(i, j)
-        return out
-
-    return cached
-
-
 def pointwise_algebra(group: GroupSpec) -> Algebra:
     """Finitely supported functions on a group under pointwise product."""
 
@@ -87,14 +70,11 @@ def pointwise_algebra(group: GroupSpec) -> Algebra:
 
 
 def group_algebra_plain(group: GroupSpec) -> Algebra:
-    """Group algebra: basis tokens multiply by the group law."""
-
-    def mul_basis(i, j):
-        return FinVec.basis(group.mul(i, j))
-
+    """Group algebra: basis tokens multiply by the group law, each product
+    computed once per ordered pair."""
     return Algebra(
         name=f"groupalg:{group.name}",
-        mul_basis=mul_basis,
+        mul_basis=once_per_pair(lambda i, j: FinVec.basis(group.mul(i, j))),
         basis=group.elements,
         one=FinVec.basis(group.identity),
         group=group,
@@ -149,7 +129,8 @@ def convolution_algebra(group: GroupSpec, target: Algebra, window=None) -> Algeb
     """Finitely supported maps group -> target under group convolution.
 
     Basis token (g, l): the map sending g to basis element l.  Product
-    (g, l) * (h, m) = (g h, l m expanded in the target).
+    (g, l) * (h, m) = (g h, l m expanded in the target), computed once per
+    ordered pair.
     """
     basis = None
     if group.elements is not None and target.basis is not None:
@@ -166,7 +147,7 @@ def convolution_algebra(group: GroupSpec, target: Algebra, window=None) -> Algeb
 
     return Algebra(
         name=f"conv({group.name},{target.name})",
-        mul_basis=mul_basis,
+        mul_basis=once_per_pair(mul_basis),
         basis=basis,
         group=group,
     )

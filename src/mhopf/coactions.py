@@ -60,7 +60,6 @@ class PartialCoactionData(NamedTuple):
     rho_l: PairRule
     E: Multiplier
     a_window: Optional[tuple] = None
-    aux: Mapping = MappingProxyType({})
 
     def window(self, window=None):
         if isinstance(window, int):
@@ -92,7 +91,6 @@ class GlobalComodule(NamedTuple):
     instance: MhaInstance
     rho_r: PairRule
     rho_l: Optional[PairRule] = None
-    aux: Mapping = MappingProxyType({})
 
     def rho_r_vec(self, x: FinVec, a: FinVec) -> FinVec:
         return bilinear(self.rho_r)(x, a)
@@ -174,7 +172,6 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window
         rho_l=rho_l,
         E=E,
         a_window=window,
-        aux={"e": e},
     )
 
 

@@ -13,7 +13,6 @@ roundtrip_check confirms the two conversions compose to the identity.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import spans
@@ -25,13 +24,12 @@ from .algebras import (
     is_idempotent_multiplier,
     multiplier_check,
     multiplier_product,
-    once_per_pair,
     struct_const_algebra,
 )
 from .errors import CapabilityError, StructuralError, WindowError
 from .groups import GroupSpec, cyclic_group
 from .reports import CheckResult
-from .vectors import FinVec, lincomb, token_key
+from .vectors import FinVec, lincomb, once_per_pair, token_key
 
 AlphaMap = Callable[[FinVec], FinVec]
 
@@ -45,7 +43,6 @@ class PartialGroupAction(NamedTuple):
     sigma: Mapping
     alpha: Mapping
     corners: Mapping
-    aux: Mapping = MappingProxyType({})
 
     def corner(self, g) -> tuple:
         return self.corners[g]
@@ -296,7 +293,9 @@ def check_globalizability(P: PartialGroupAction) -> list:
 
 def to_hopf(P: PartialGroupAction, skip_checks=False):
     """Partial module-algebra data over the group algebra: g acts by
-    x |-> alpha_g(x sigma_{g^-1}) and the range map sends g to sigma_g."""
+    x |-> alpha_g(x sigma_{g^-1}) and the range map sends g to sigma_g.
+    Each (g, t) is computed once; `to_group` reads the same rule back
+    through `act_vec`."""
     from .mha import instance_for
     from .partial_actions import PartialActionData
 
@@ -304,19 +303,13 @@ def to_hopf(P: PartialGroupAction, skip_checks=False):
         bad = [r for r in check_pga(P) + check_sigma_conditions(P) if r.outcome == "fail"]
         if bad:
             raise StructuralError(f"rejected input: {bad[0].name} fails")
-    instance = instance_for("kG", P.group)
-
-    def act(g, t):
-        return gamma_element(P, g, FinVec.basis(t))
-
     return PartialActionData(
         name=f"dual-side:{P.name}",
-        instance=instance,
+        instance=instance_for("kG", P.group),
         algebra=P.algebra,
-        act=act,
+        act=once_per_pair(lambda g, t: gamma_element(P, g, FinVec.basis(t))),
         e_map=lambda g: P.sigma[g],
         a_window=P.group.elements,
-        aux={"group_side": P},
     )
 
 

@@ -39,7 +39,6 @@ from .algebras import (
     convolution_algebra,
     group_algebra_plain,
     multiplier_check,
-    once_per_pair,
     subgroup_average_idempotent,
 )
 from .errors import CapabilityError, StructuralError
@@ -47,7 +46,7 @@ from .groups import GroupSpec, closure, is_normal
 from .homr import HomRElem
 from .mha import MhaInstance, function_algebra
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, lincomb, linear, token_key
+from .vectors import FinVec, bilinear, lincomb, linear, once_per_pair, token_key
 
 ActRule = Callable[[object, object], FinVec]
 

@@ -17,7 +17,10 @@ lists and report rendering.
 
 Every structure map in the package is a linear or bilinear rule on basis
 tokens; `linear` and `bilinear` extend such a rule to vectors, and
-`lincomb` is the accumulator they share.
+`lincomb` is the accumulator they share.  `once_per_pair` is the one way
+to cache a rule on pairs of tokens.  Its hits hand out the same `FinVec`
+object again, which is safe because no code outside this module touches
+a vector's coefficient dict `_c`.
 """
 
 from __future__ import annotations
@@ -159,11 +162,6 @@ class FinVec:
     def map_tokens(self, fn: Callable) -> "FinVec":
         return FinVec((fn(tok), val) for tok, val in self._c.items())
 
-    def map_values(self, fn: Callable) -> "FinVec":
-        """Apply fn to each coefficient, handed over as a Fraction so that
-        a division inside fn stays exact."""
-        return FinVec((tok, fn(Fraction(val))) for tok, val in self._c.items())
-
     def __repr__(self) -> str:
         if not self._c:
             return "0"
@@ -207,8 +205,26 @@ def bilinear(rule: Callable[[object, object], FinVec]) -> Callable[[FinVec, FinV
     )
 
 
-def vec_sum(vecs: Iterable[FinVec]) -> FinVec:
-    return lincomb((v, 1) for v in vecs)
+def once_per_pair(rule: Callable[[object, object], object]):
+    """`rule` computed once per ordered pair of tokens.
+
+    The results fill one dict per first token on demand, with no eviction:
+    over n tokens it holds at most n * n results.  The pair is ordered
+    because the product need not commute.  A call that raises stores
+    nothing."""
+    rows = {}
+
+    def cached(i, j):
+        try:
+            return rows[i][j]
+        except KeyError:
+            pass
+        # called outside the handler, so an error of `rule` is not chained
+        # to the KeyError
+        out = rows.setdefault(i, {})[j] = rule(i, j)
+        return out
+
+    return cached
 
 
 def tensor(x: FinVec, y: FinVec) -> FinVec:

@@ -37,6 +37,29 @@ def test_pointwise_product_is_diagonal(S3):
     assert A.one == FinVec((g, F(1)) for g in S3.elements)
 
 
+def closed_form_mul(group):
+    """The group law written out, without `GroupSpec.mul`."""
+    if group.name.startswith("cyclic:"):
+        n = len(group.elements)
+        return lambda a, b: (a + b) % n
+    return lambda p, q: tuple(p[q[i]] for i in range(len(p)))
+
+
+@pytest.mark.parametrize("spec", ["S3", "C4"])
+def test_cached_structure_constants_match_the_closed_form(request, spec):
+    group = request.getfixturevalue(spec)
+    mul = closed_form_mul(group)
+    kG = group_algebra_plain(group)
+    conv = convolution_algebra(group, group_algebra_plain(group))
+    # twice: the second sweep reads what the first one stored
+    for _ in range(2):
+        for g, h in itertools.product(group.elements, repeat=2):
+            assert kG.mul_basis(g, h) == FinVec.basis(mul(g, h))
+        for p, q in itertools.product(conv.basis, repeat=2):
+            (g, l), (h, m) = p, q
+            assert conv.mul_basis(p, q) == FinVec.basis((mul(g, h), mul(l, m)))
+
+
 def test_group_algebra_multiplies_by_convolution(S3):
     A = group_algebra_plain(S3)
     for p, q in itertools.product(S3.elements, repeat=2):

@@ -87,6 +87,32 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "missing field" in res.stderr
 
+    @pytest.mark.parametrize(
+        "subgroup, message",
+        [
+            ("generated:[2", "generators '[2' are not a JSON list"),
+            ("generated:[9]", "generator 9 is not an element of cyclic:6"),
+        ],
+        ids=["not_json", "outside_group"],
+    )
+    def test_bad_generated_subgroup_exits_3(self, tmp_path, subgroup, message):
+        doc = {
+            "schema": 1,
+            "name": "bad_generators",
+            "structures": [
+                {"id": "G", "type": "group", "spec": "cyclic:6"},
+                {"id": "P", "type": "action", "constructor": "example_fN",
+                 "group": "G", "subgroup": subgroup},
+            ],
+            "checks": [{"check": "partial_action", "target": "P"}],
+        }
+        f = tmp_path / "bad_generators.json"
+        f.write_text(json.dumps(doc))
+        res = run_cli("run", str(f))
+        assert res.returncode == 3
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unknown_scenario_name_exits_3(self):
         res = run_cli("run", "no_such_scenario")
         assert res.returncode == 3

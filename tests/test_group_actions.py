@@ -201,3 +201,17 @@ class TestGroupAlgebraCollapse:
         for g in translation.group.elements:
             for v in translation.corners[translation.group.inv(g)]:
                 assert R.alpha[g](v) == translation.alpha[g](v)
+
+
+@pytest.mark.parametrize("which", ["C6_full", "S3_corner"])
+def test_to_hopf_act_is_gamma_on_every_pair(S3, which):
+    if which == "C6_full":
+        C6 = parse_group("cyclic:6")
+        P = subset_translation_pga(C6, C6.elements)
+    else:
+        P = subset_translation_pga(S3, X3)
+    Q = to_hopf(P)
+    for _ in range(2):
+        for g in P.group.elements:
+            for t in P.algebra.basis:
+                assert Q.act(g, t) == gamma_element(P, g, FinVec.basis(t)), (g, t)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,17 +21,24 @@ from mhopf.groups import (
     symmetric_group,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def compose(p, q):
     # independent oracle: apply q first, then p, as functions on points
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def test_symmetric_group_matches_function_composition(S3):
-    for p, q in itertools.product(S3.elements, repeat=2):
-        assert S3.mul(p, q) == compose(p, q)
-    for p in S3.elements:
-        assert S3.mul(p, S3.inv(p)) == S3.identity
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetric_group_matches_function_composition(n):
+    Sn = symmetric_group(n)
+    # twice, so the second sweep reads the filled table; the arguments are
+    # fresh tuples, equal to the elements but not the same objects
+    for _ in range(2):
+        for p, q in itertools.product(Sn.elements, repeat=2):
+            assert Sn.mul(tuple(p), tuple(q)) == compose(p, q)
+    for p in Sn.elements:
+        assert Sn.mul(p, Sn.inv(p)) == Sn.identity
 
 
 def test_cyclic_group_is_addition_mod_n(C4):
@@ -65,6 +76,47 @@ def test_subgroup_helpers(S3):
     assert set(gen) == {S3.identity, (1, 0, 2)}
     assert is_normal(S3, alternating_elements(3))
     assert not is_normal(S3, gen)
+
+
+def test_generated_subgroup_spec_is_a_json_list(S3):
+    C6 = cyclic_group(6)
+    assert subgroup_elements(C6, "generated:[2]") == (0, 2, 4)
+    assert subgroup_elements(C6, "generated:[2, 3]") == tuple(range(6))
+    assert subgroup_elements(S3, "generated:[[1, 0, 2]]") == ((0, 1, 2), (1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "spec", ["generated:[2", "generated:(2,)", "generated:2"], ids=["unclosed", "tuple", "scalar"]
+)
+def test_malformed_generated_spec_is_a_structural_error(spec):
+    with pytest.raises(StructuralError, match="not a JSON list"):
+        subgroup_elements(cyclic_group(6), spec)
+
+
+def test_generator_outside_the_group_is_named(S3):
+    with pytest.raises(StructuralError, match="generator 9 is not an element of cyclic:6"):
+        subgroup_elements(cyclic_group(6), "generated:[2, 9]")
+    with pytest.raises(StructuralError, match=r"generator \(0,1,5\) is not an element"):
+        subgroup_elements(S3, "generated:[[0, 1, 5]]")
+    with pytest.raises(StructuralError, match="is not an element of cyclic:6"):
+        subgroup_elements(cyclic_group(6), 'generated:[{"g": 1}]')
+    # the closure on an infinite group would never end
+    with pytest.raises(StructuralError, match="need a finite group"):
+        subgroup_elements(integers_group(), "generated:[1]")
+
+
+def test_generated_spec_does_not_load_ast():
+    code = (
+        "import sys\n"
+        "from mhopf.groups import cyclic_group, subgroup_elements\n"
+        "assert 'ast' not in sys.modules, 'ast loaded on import'\n"
+        "subgroup_elements(cyclic_group(8), 'generated:[2]')\n"
+        "print('ast' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_parse_group_specs():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhopf import linalg, spans
-from mhopf.vectors import FinVec, token_key, vec_sum
+from mhopf.vectors import FinVec, lincomb, token_key
 
 F = Fraction
 
@@ -22,6 +22,10 @@ coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 vectors = st.dictionaries(tokens, coeffs, max_size=4).map(FinVec)
 mixed = st.one_of(st.integers(-3, 3), coeffs)
 mixed_vectors = st.dictionaries(tokens, mixed, max_size=4).map(FinVec)
+
+
+def vec_sum(vecs):
+    return lincomb((v, 1) for v in vecs)
 
 
 def combination(draw, vecs, max_terms):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,9 @@ from mhopf.vectors import (
     bilinear,
     lincomb,
     linear,
+    once_per_pair,
     tensor,
     token_key,
-    vec_sum,
 )
 
 coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -110,15 +111,62 @@ def test_bilinear_matches_the_double_loop(x, y):
     )
 
 
-def test_vec_sum():
-    vs = [FinVec.basis("a"), FinVec.basis("a"), FinVec.basis("b", Fraction(-1))]
-    assert vec_sum(vs) == FinVec({"a": Fraction(2), "b": Fraction(-1)})
-
-
-def test_map_tokens_and_values():
+def test_map_tokens():
     v = FinVec({1: Fraction(2), 2: Fraction(-4)})
     assert v.map_tokens(lambda t: t + 10) == FinVec({11: Fraction(2), 12: Fraction(-4)})
-    assert v.map_values(lambda c: c / 2) == FinVec({1: Fraction(1), 2: Fraction(-2)})
+
+
+class CountingRule:
+    """A pair rule that records every call it gets."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = []
+
+    def __call__(self, i, j):
+        self.calls.append((i, j))
+        return self.rule(i, j)
+
+
+def test_once_per_pair_calls_its_rule_once_per_ordered_pair():
+    S3 = list(itertools.permutations(range(3)))
+    stub = CountingRule(lambda p, q: tuple(p[q[k]] for k in range(3)))
+    cached = once_per_pair(stub)
+    for _ in range(3):
+        for p, q in itertools.product(S3, repeat=2):
+            # fresh tuples, equal to the tokens but not the same objects
+            assert cached(tuple(p), tuple(q)) == stub.rule(p, q)
+    assert sorted(stub.calls) == sorted(itertools.product(S3, repeat=2))
+    # (p, q) and (q, p) are kept apart: on S3 their products differ
+    p, q = (1, 0, 2), (0, 2, 1)
+    assert cached(p, q) != cached(q, p)
+    assert cached(p, q) == stub.rule(p, q) and cached(q, p) == stub.rule(q, p)
+
+
+def test_once_per_pair_hands_out_the_first_result():
+    stub = CountingRule(lambda i, j: FinVec([(i, 1), (j, 2)]))
+    cached = once_per_pair(stub)
+    first = cached("a", "b")
+    assert cached("a", "b") is first
+    assert cached("b", "a") == FinVec([("b", 1), ("a", 2)])
+    assert stub.calls == [("a", "b"), ("b", "a")]
+
+
+def test_once_per_pair_stores_nothing_when_the_rule_raises():
+    def rule(i, j):
+        if j == "bad":
+            raise WindowError(f"{j} outside window")
+        return FinVec.basis((i, j))
+
+    stub = CountingRule(rule)
+    cached = once_per_pair(stub)
+    for _ in range(2):
+        with pytest.raises(WindowError) as info:
+            cached("a", "bad")
+        # the error is the rule's own, not chained to the cache miss
+        assert info.value.__context__ is None
+    assert cached("a", "ok") == FinVec.basis(("a", "ok"))
+    assert stub.calls == [("a", "bad"), ("a", "bad"), ("a", "ok")]
 
 
 def test_linear_map_table_applies_and_guards_window():
@@ -259,4 +307,18 @@ def test_verdicts_come_from_checkresult_law():
                 and _names(func.value) == "CheckResult"
             ):
                 offenders.append(f"{path.name}:{node.lineno}: CheckResult.{func.attr}")
+    assert offenders == []
+
+
+def test_no_module_but_vectors_touches_the_coefficient_dict():
+    """`once_per_pair` hands the same `FinVec` to every caller, so a vector
+    must never change after it is built.  Only `vectors.py` may read or
+    write `._c` or wrap a dict with `FinVec._of`, which does not copy it."""
+    offenders = []
+    for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
+        if path.name == "vectors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_c", "_of"):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert offenders == []
