@@ -23,6 +23,17 @@ from .reports import CheckResult
 from .vectors import FinVec, LinearMapTable, bilinear, lincomb, once_per_pair, tensor, token_key
 
 
+def pick_window(window, default: Callable[[], tuple]) -> tuple:
+    """The one window rule: an integer n means the first n tokens of the
+    default window, a tuple is used as given, None means the default
+    window.  `default` is called only when the window depends on it."""
+    if window is None:
+        return default()
+    if isinstance(window, int):
+        return default()[:window]
+    return tuple(window)
+
+
 class Algebra(NamedTuple):
     name: str
     mul_basis: Callable[[object, object], FinVec]
@@ -38,13 +49,9 @@ class Algebra(NamedTuple):
         return self.basis is not None
 
     def basis_window(self, window=None) -> tuple:
-        # an integer n means: the first n basis tokens
-        if isinstance(window, int):
-            if self.basis is None:
-                raise WindowError(f"algebra {self.name} needs an explicit window")
-            return self.basis[:window]
-        if window is not None:
-            return tuple(window)
+        return pick_window(window, self._full_basis)
+
+    def _full_basis(self) -> tuple:
         if self.basis is None:
             raise WindowError(f"algebra {self.name} needs an explicit window")
         return self.basis

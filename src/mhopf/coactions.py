@@ -37,8 +37,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import spans
-from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_check, tensor_square_algebra
-from .errors import CapabilityError, StructuralError, WindowError
+from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_check, pick_window, tensor_square_algebra
+from .errors import CapabilityError
 from .mha import MhaInstance
 from .reports import CheckResult
 from .vectors import FinVec, bilinear, lincomb, linear, tensor, tensor_map
@@ -62,13 +62,9 @@ class PartialCoactionData(NamedTuple):
     a_window: Optional[tuple] = None
 
     def window(self, window=None):
-        if isinstance(window, int):
-            return self.window(None)[:window]
-        if window is not None:
-            return tuple(window)
         if self.a_window is not None:
-            return tuple(self.a_window)
-        return self.instance.basis_window(None)
+            return pick_window(window, lambda: tuple(self.a_window))
+        return self.instance.basis_window(window)
 
     def target_basis(self):
         if self.target.basis is None:
@@ -562,14 +558,10 @@ class CoactionGlobalization(NamedTuple):
         return [self.theta_map[t] for t in self.base.target_basis()]
 
 
-def coaction_globalize(C: PartialCoactionData, e: FinVec, a_window=None, dim_bound=512, skip_checks=False) -> CoactionGlobalization:
-    """Build the envelope; rejects inputs that fail the axiom batteries."""
+def coaction_globalize(C: PartialCoactionData, e: FinVec, a_window=None, dim_bound=512) -> CoactionGlobalization:
+    """Build the envelope of a partial coaction with a quasi-counitary
+    idempotent e; nothing here checks those laws of its input."""
     win = C.window(a_window)
-    if not skip_checks:
-        bad = [r.name for r in check_partial_coaction(C, win) if r.outcome == "fail"]
-        bad += [r.name for r in check_quasi_counitary(C.instance, e, win) if r.outcome == "fail"]
-        if bad:
-            raise StructuralError(f"rejected input: {C.name} fails {', '.join(sorted(set(bad)))}")
     com = tensor_comodule(C.target, C.instance, win)
     theta_map = {x: C.rho_r_vec(FinVec.basis(x), e) for x in C.target_basis()}
     gens = [theta_map[x] for x in C.target_basis()]
@@ -613,10 +605,7 @@ def _phi_e(G: CoactionGlobalization, z: FinVec, w) -> FinVec:
 def check_coglobalization(G: CoactionGlobalization, window=None):
     """Verification battery for the enveloping coaction."""
     C = G.base
-    win = G.aux.get("a_window", C.window(None))
-    if window is not None:
-        # an integer n means: the first n tokens of the envelope's own window
-        win = win[:window] if isinstance(window, int) else tuple(window)
+    win = pick_window(window, lambda: G.aux["a_window"])
     lbasis = C.target_basis()
     com = G.comodule
     results = []

@@ -9,6 +9,8 @@ into a symmetric partial module algebra over the group algebra (basis
 element g acts by x |-> alpha_g(x sigma_{g^-1}), range multiplier sigma_g);
 to_group recovers the group-level data from such a module algebra, and
 roundtrip_check confirms the two conversions compose to the identity.
+The conversions are plain constructions: they run no checker on their
+input, which the scenario runner validates once beforehand.
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def check_globalizability(P: PartialGroupAction) -> list:
 # conversions
 
 
-def to_hopf(P: PartialGroupAction, skip_checks=False):
+def to_hopf(P: PartialGroupAction):
     """Partial module-algebra data over the group algebra: g acts by
     x |-> alpha_g(x sigma_{g^-1}) and the range map sends g to sigma_g.
     Each (g, t) is computed once; `to_group` reads the same rule back
@@ -299,10 +301,6 @@ def to_hopf(P: PartialGroupAction, skip_checks=False):
     from .mha import instance_for
     from .partial_actions import PartialActionData
 
-    if not skip_checks:
-        bad = [r for r in check_pga(P) + check_sigma_conditions(P) if r.outcome == "fail"]
-        if bad:
-            raise StructuralError(f"rejected input: {bad[0].name} fails")
     return PartialActionData(
         name=f"dual-side:{P.name}",
         instance=instance_for("kG", P.group),
@@ -313,18 +311,13 @@ def to_hopf(P: PartialGroupAction, skip_checks=False):
     )
 
 
-def to_group(Q, skip_checks=False) -> PartialGroupAction:
+def to_group(Q) -> PartialGroupAction:
     """Recover group-level data: corners are the e_map images, alpha_g is
-    the action of the basis element g restricted to the g^-1 corner."""
-    from .partial_actions import check_partial_action, check_symmetric
-
+    the action of the basis element g restricted to the g^-1 corner.  Each
+    range multiplier must be a central idempotent."""
     group = Q.instance.algebra.group
     if group is None or group.elements is None:
         raise CapabilityError("to_group needs a finite group-algebra instance")
-    if not skip_checks:
-        bad = [r for r in check_partial_action(Q) + check_symmetric(Q) if r.outcome == "fail"]
-        if bad:
-            raise StructuralError(f"rejected input: {bad[0].name} fails")
     window = Q.algebra.basis_window(None)
     sigma = {}
     for g in group.elements:

@@ -45,10 +45,6 @@ class HomRElem:
         sums = ((g, lincomb(vals)) for g, vals in terms.items())
         self._table = {g: v for g, v in sums if v}
 
-    @staticmethod
-    def zero(source: MhaInstance, target: Algebra) -> "HomRElem":
-        return HomRElem(source, target)
-
     def support(self):
         return sorted(self._table, key=token_key)
 

@@ -39,6 +39,7 @@ from .algebras import (
     convolution_algebra,
     group_algebra_plain,
     multiplier_check,
+    pick_window,
     subgroup_average_idempotent,
 )
 from .errors import CapabilityError, StructuralError
@@ -49,6 +50,9 @@ from .reports import CheckResult
 from .vectors import FinVec, bilinear, lincomb, linear, once_per_pair, token_key
 
 ActRule = Callable[[object, object], FinVec]
+
+# candidates an indicator search tries before it gives up
+MAX_CANDIDATES = 2048
 
 
 def _act_vec(self, a: FinVec, x: FinVec) -> FinVec:
@@ -72,13 +76,9 @@ class PartialActionData(NamedTuple):
     act_vec = _act_vec
 
     def acting_window(self, window=None) -> tuple:
-        if isinstance(window, int):
-            return self.acting_window(None)[:window]
-        if window is not None:
-            return tuple(window)
         if self.a_window is not None:
-            return self.a_window
-        return self.instance.basis_window(None)
+            return pick_window(window, lambda: self.a_window)
+        return self.instance.basis_window(window)
 
 
 class GlobalAction(NamedTuple):
@@ -110,10 +110,7 @@ class Globalization(NamedTuple):
     act_vec = _act_vec
 
     def acting_window(self, window=None) -> tuple:
-        # an integer n means: the first n tokens of the envelope's own window
-        if isinstance(window, int):
-            return self.a_window[:window]
-        return tuple(window) if window is not None else self.a_window
+        return pick_window(window, lambda: self.a_window)
 
     def theta(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec):
@@ -124,7 +121,7 @@ class Globalization(NamedTuple):
         return self.theta(self.pi_rule(v))
 
 
-def search_indicator_witness(ground, predicate, max_candidates=2048):
+def search_indicator_witness(ground, predicate, max_candidates=MAX_CANDIDATES):
     """Smallest-support-first search for an indicator element.
 
     Candidates are sums of basis tokens over subsets of the ground window,
@@ -163,7 +160,6 @@ def check_partial_action(
     P: PartialActionData,
     a_window=None,
     l_window=None,
-    max_candidates=2048,
 ) -> list[CheckResult]:
     """The four defining laws, the multiplier axioms for e, and the
     globality characterization (e = counit exactly when the module laws
@@ -224,8 +220,8 @@ def check_partial_action(
         return True
 
     results.append(indicator_verdict(
-        "local_units", P, aw, search_indicator_witness(aw, unit_pred, max_candidates),
-        max_candidates, "no indicator over the full basis satisfies both clauses"))
+        "local_units", P, aw, search_indicator_witness(aw, unit_pred),
+        MAX_CANDIDATES, "no indicator over the full basis satisfies both clauses"))
 
     def stacked(x_tok):
         return lincomb((P.act(a, x_tok).map_tokens(lambda t, a=a: (a, t)), 1) for a in aw)
@@ -441,7 +437,6 @@ def check_a_projection(
     proj: AProjection,
     a_window=None,
     r_window=None,
-    symmetric=False,
 ) -> list[CheckResult]:
     """Idempotence, multiplicativity, image span, and the defining
     commutation of projection with nested actions."""
@@ -497,23 +492,22 @@ def check_a_projection(
     results.append(CheckResult.law(
         "a_projection_identity", witnesses[:3], a_window=len(aw), sub_dim=len(sub)))
 
-    if symmetric:
-        witnesses = []
-        for a in aw:
-            for b in aw:
-                for x in sub:
-                    for y in sub:
-                        bx = ctx.act_vec(FinVec.basis(b), x)
-                        lhs = proj.rule(ctx.act_vec(
-                            FinVec.basis(a), ctx.algebra.mul(bx, y)))
-                        rhs = proj.rule(ctx.act_vec(
-                            FinVec.basis(a), ctx.algebra.mul(proj.rule(bx), y)))
-                        if lhs != rhs:
-                            witnesses.append({"a": a, "b": b, "x": x, "y": y,
-                                              "lhs": lhs, "rhs": rhs})
-        results.append(CheckResult.law(
-            "symmetric_projection_identity", witnesses[:3],
-            a_window=len(aw), sub_dim=len(sub)))
+    witnesses = []
+    for a in aw:
+        for b in aw:
+            for x in sub:
+                for y in sub:
+                    bx = ctx.act_vec(FinVec.basis(b), x)
+                    lhs = proj.rule(ctx.act_vec(
+                        FinVec.basis(a), ctx.algebra.mul(bx, y)))
+                    rhs = proj.rule(ctx.act_vec(
+                        FinVec.basis(a), ctx.algebra.mul(proj.rule(bx), y)))
+                    if lhs != rhs:
+                        witnesses.append({"a": a, "b": b, "x": x, "y": y,
+                                          "lhs": lhs, "rhs": rhs})
+    results.append(CheckResult.law(
+        "symmetric_projection_identity", witnesses[:3],
+        a_window=len(aw), sub_dim=len(sub)))
     return results
 
 
@@ -579,13 +573,12 @@ def induce_from_projection(
     proj: AProjection,
     a_window=None,
     coords=None,
-    max_candidates=2048,
 ) -> PartialActionData:
     """a . x := pi(a |> x) on the image of an A-projection, with the
     multiplier e(a) assembled from the covered one-sided formulas."""
     ctx = proj.context
     M = ctx.instance
-    pre = check_a_projection(proj, a_window=a_window, symmetric=True)
+    pre = check_a_projection(proj, a_window=a_window)
     bad = [r for r in pre if not r.ok()]
     if bad:
         raise StructuralError(
@@ -608,7 +601,7 @@ def induce_from_projection(
         if ltok not in unit_cache:
             target = FinVec.basis(ltok)
             witness, exhausted = search_indicator_witness(
-                aw, lambda b: act_vec(b, target) == target, max_candidates)
+                aw, lambda b: act_vec(b, target) == target)
             if witness is None:
                 raise CapabilityError(
                     f"no acting unit for {ltok!r} (exhausted={exhausted})")
@@ -639,7 +632,7 @@ def induce_from_projection(
 
 
 def quasi_unitary_witness(P: PartialActionData, elems, a_window=None,
-                          ground=None, max_candidates=2048):
+                          ground=None, max_candidates=MAX_CANDIDATES):
     """Search b with b.x = x and (ab).x = a.x for all listed x and windowed
     a.  Returns (witness or None, exhausted flag)."""
     aw = P.acting_window(a_window)
@@ -660,7 +653,7 @@ def quasi_unitary_witness(P: PartialActionData, elems, a_window=None,
 
 
 def check_quasi_unitary(P: PartialActionData, elems, a_window=None,
-                        ground=None, max_candidates=2048) -> CheckResult:
+                        ground=None, max_candidates=MAX_CANDIDATES) -> CheckResult:
     found = quasi_unitary_witness(
         P, elems, a_window=a_window, ground=ground, max_candidates=max_candidates)
     gtoks = tuple(ground) if ground is not None else P.acting_window(a_window)
@@ -669,15 +662,13 @@ def check_quasi_unitary(P: PartialActionData, elems, a_window=None,
         "subset lattice of the full basis exhausted without witness")
 
 
-def phi_embed(P: PartialActionData, x, witness=None, a_window=None,
-              max_candidates=2048) -> HomRElem:
+def phi_embed(P: PartialActionData, x, witness=None, a_window=None) -> HomRElem:
     """theta(x): the finitely supported table g |-> delta_g . x, supported
     inside any quasi-unit witness for x."""
     if not isinstance(x, FinVec):
         x = FinVec.basis(x)
     if witness is None:
-        witness, exhausted = quasi_unitary_witness(
-            P, [x], a_window=a_window, max_candidates=max_candidates)
+        witness, exhausted = quasi_unitary_witness(P, [x], a_window=a_window)
         if witness is None:
             raise CapabilityError(
                 "quasi-unit witness search "
@@ -689,17 +680,11 @@ def phi_embed(P: PartialActionData, x, witness=None, a_window=None,
     return HomRElem(P.instance, P.algebra, table)
 
 
-def globalize(P: PartialActionData, a_window=None, skip_checks=False) -> Globalization:
+def globalize(P: PartialActionData, a_window=None) -> Globalization:
     """Standard envelope: translates of the table embedding inside the
-    convolution algebra of target-valued functions."""
-    M = P.instance
-    if not skip_checks:
-        pre = check_partial_action(P, a_window=a_window)
-        pre += check_symmetric(P, a_window=a_window)
-        bad = [r.name for r in pre if not r.ok()]
-        if bad:
-            raise StructuralError("not a symmetric partial action: " + ", ".join(bad))
-    group = M.algebra.group
+    convolution algebra of target-valued functions.  The input is taken to
+    be a symmetric partial action; nothing here checks that."""
+    group = P.instance.algebra.group
     if group is None or not group.is_finite():
         raise CapabilityError("standard envelope needs a finite acting group")
     if P.algebra.basis is None:
@@ -746,7 +731,7 @@ JUNK = "junk"
 def junk_globalization(P: PartialActionData, a_window=None) -> Globalization:
     """Standard envelope padded with a zero-product summand that the
     projection kills: every minimality battery finds it."""
-    std = globalize(P, a_window=a_window, skip_checks=True)
+    std = globalize(P, a_window=a_window)
     group = P.instance.algebra.group
     lbasis = P.algebra.basis
     tokens = tuple(std.algebra.basis) + tuple((JUNK, t) for t in lbasis)
@@ -795,39 +780,7 @@ def junk_globalization(P: PartialActionData, a_window=None) -> Globalization:
     )
 
 
-def relabel_globalization(G: Globalization, token_fn, name=None) -> Globalization:
-    """Isomorphic copy along a bijective relabeling of envelope tokens."""
-    fwd = {t: token_fn(t) for t in G.algebra.basis}
-    if len(set(fwd.values())) != len(fwd):
-        raise StructuralError("relabeling is not injective")
-    back = {v: k for k, v in fwd.items()}
-
-    def remap(v: FinVec) -> FinVec:
-        return v.map_tokens(lambda t: fwd[t])
-
-    env = Algebra(
-        name=(name or G.algebra.name + "~relabel"),
-        mul_basis=lambda i, j: remap(G.algebra.mul_basis(back[i], back[j])),
-        basis=tuple(fwd[t] for t in G.algebra.basis),
-        one=remap(G.algebra.one) if G.algebra.one is not None else None,
-        pointwise=False,
-        group=None,
-    )
-    return Globalization(
-        name=(name or G.name + "~relabel"),
-        action=G.action,
-        algebra=env,
-        act=lambda a, t: remap(G.act(a, back[t])),
-        theta_map={x: remap(v) for x, v in G.theta_map.items()},
-        pi_rule=lambda v: G.pi_rule(v.map_tokens(lambda t: back[t])),
-        generators=tuple(remap(v) for v in G.generators),
-        gen_labels=G.gen_labels,
-        a_window=G.a_window,
-    )
-
-
-def check_enveloping(G: Globalization, a_window=None, symmetric=True,
-                     max_candidates=2048) -> list[CheckResult]:
+def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
     """Envelope laws: module algebra structure, embedding is a
     monomorphism onto an ideal, projection compatibility, generation."""
     P = G.action
@@ -855,8 +808,7 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
     unresolved = []
     covers = []
     for w in nonzero_gens:
-        cover, exhausted = search_indicator_witness(
-            aw, lambda b: G.act_vec(b, w) == w, max_candidates)
+        cover, exhausted = search_indicator_witness(aw, lambda b: G.act_vec(b, w) == w)
         if cover is None:
             unresolved.append({"w": w, "exhausted": exhausted})
         covers.append(cover)
@@ -898,15 +850,14 @@ def check_enveloping(G: Globalization, a_window=None, symmetric=True,
     results.append(CheckResult.law(
         "theta_right_ideal", witnesses[:3], generators=len(nonzero_gens)))
 
-    if symmetric:
-        witnesses = []
-        for x in lbasis:
-            for v in nonzero_gens:
-                prod = G.algebra.mul(v, G.theta_map[x])
-                if not theta_span.contains(prod):
-                    witnesses.append({"x": x, "v": v, "product": prod})
-        results.append(CheckResult.law(
-            "theta_two_sided_ideal", witnesses[:3], generators=len(nonzero_gens)))
+    witnesses = []
+    for x in lbasis:
+        for v in nonzero_gens:
+            prod = G.algebra.mul(v, G.theta_map[x])
+            if not theta_span.contains(prod):
+                witnesses.append({"x": x, "v": v, "product": prod})
+    results.append(CheckResult.law(
+        "theta_two_sided_ideal", witnesses[:3], generators=len(nonzero_gens)))
 
     witnesses = []
     for a in aw:

@@ -15,6 +15,9 @@ Structures are built in order by registered constructors (groups, instances,
 algebras, corners, actions, group actions, coactions, envelopes) and may
 reference earlier ids.  Checks run in order through the check registry; every
 registered check carries a human explanation for the `explain` subcommand.
+A derived structure is built only from an input whose precondition checks
+pass (see PRECONDITIONS); each such check runs once per run, and the
+scenario's own check of that input reuses its lines.
 Sampled checks draw from a single random.Random seeded by the scenario seed
 (overridable from the command line), so identical scenario + seed gives a
 byte-identical report.
@@ -68,12 +71,20 @@ def _vector(spec) -> FinVec:
     )
 
 
+def _element_e(inst, entry) -> FinVec:
+    """The entry's element "e" of the instance; by default its identity."""
+    e = entry.get("e", "identity")
+    return FinVec.basis(inst.algebra.group.identity) if e == "identity" else _vector(e)
+
+
 class Context:
-    """Built structures by id, with typed resolution."""
+    """Built structures by id, with typed resolution, and the lines of the
+    precondition checks run so far, by (check, target id, window)."""
 
     def __init__(self, name):
         self.name = name
         self.objects = {}
+        self.lines = {}
 
     def add(self, ident, obj):
         if ident in self.objects:
@@ -203,9 +214,8 @@ def _build_coaction(ctx, entry):
     ctor = entry["constructor"]
     if ctor == "trivial":
         inst = ctx.get(entry["instance"], mha.MhaInstance)
-        e = entry.get("e", "identity")
-        vec = FinVec.basis(inst.algebra.group.identity) if e == "identity" else _vector(e)
-        return coactions.trivial_coaction(ctx.get(entry["target"], Algebra), inst, vec)
+        return coactions.trivial_coaction(
+            ctx.get(entry["target"], Algebra), inst, _element_e(inst, entry))
     if ctor == "mutate":
         return coactions.mutate_coaction(
             ctx.get(entry["base"], coactions.PartialCoactionData), entry["kind"]
@@ -225,10 +235,8 @@ def _build_envelope(ctx, entry):
 
 def _build_coenvelope(ctx, entry):
     base = ctx.get(entry["coaction"], coactions.PartialCoactionData)
-    inst = base.instance
-    e = entry.get("e", "identity")
-    vec = FinVec.basis(inst.algebra.group.identity) if e == "identity" else _vector(e)
-    env = coactions.coaction_globalize(base, vec, dim_bound=entry.get("dim_bound", 512))
+    env = coactions.coaction_globalize(
+        base, _element_e(base.instance, entry), dim_bound=entry.get("dim_bound", 512))
     if entry.get("mutate") == "pi_identity":
         env = coactions.with_identity_pi(env)
     return env
@@ -321,7 +329,8 @@ def _chk_quasi_unitary(ctx, entry, window, rng):
         FinVec.basis(t) for t in P.algebra.basis
     ]
     res = partial_actions.check_quasi_unitary(
-        P, elems, a_window=window, max_candidates=entry.get("max_candidates", 2048)
+        P, elems, a_window=window,
+        max_candidates=entry.get("max_candidates", partial_actions.MAX_CANDIDATES),
     )
     return [res]
 
@@ -382,9 +391,7 @@ def _chk_coaction_range(ctx, entry, window, rng):
 
 def _chk_quasi_counitary(ctx, entry, window, rng):
     inst = ctx.get(entry["target"], mha.MhaInstance)
-    e = entry.get("e", "identity")
-    vec = FinVec.basis(inst.algebra.group.identity) if e == "identity" else _vector(e)
-    return coactions.check_quasi_counitary(inst, vec, window)
+    return coactions.check_quasi_counitary(inst, _element_e(inst, entry), window)
 
 
 def _chk_coglobalization(ctx, entry, window, rng):
@@ -521,6 +528,62 @@ CHECKS = {
 
 
 # ---------------------------------------------------------------------------
+# preconditions
+
+# What a derived structure, or a check that derives one, needs of its input:
+# (entry type, constructor) -> (entry field naming the input, checks on it).
+# The one rule: any line of those checks that is not "pass" rejects the
+# input.  A coenvelope also needs its element e to be quasi-counitary.
+PRECONDITIONS = {
+    ("envelope", "globalize"): ("action", ("partial_action", "symmetric")),
+    ("action", "to_hopf"): ("pga", ("pga", "sigma_conditions")),
+    ("check", "pga_roundtrip"): ("target", ("pga", "sigma_conditions")),
+    ("coenvelope", None): ("coaction", ("partial_coaction",)),
+}
+_STORED = {check for _, checks in PRECONDITIONS.values() for check in checks}
+
+
+def _check_lines(ctx, name, entry, window, rng):
+    """The lines of one check.  A precondition check runs at most once per
+    (target, window); none of them draws from `rng`."""
+    fn = CHECKS[name][0]
+    if name not in _STORED:
+        return fn(ctx, entry, window, rng)
+    key = (name, entry["target"], window)
+    if key not in ctx.lines:
+        ctx.lines[key] = fn(ctx, entry, window, rng)
+    return ctx.lines[key]
+
+
+def _require(ctx, key, entry):
+    """Raise StructuralError naming every line of the input's preconditions
+    that does not pass, by its report name."""
+    if key not in PRECONDITIONS:
+        return
+    field, checks = PRECONDITIONS[key]
+    target = entry[field]
+    named = [
+        (f"{check}:{target}", _check_lines(ctx, check, {"target": target}, None, None))
+        for check in checks
+    ]
+    if key[0] == "coenvelope":
+        inst = ctx.get(target, coactions.PartialCoactionData).instance
+        named.append((f"quasi_counitary:{target}",
+                      coactions.check_quasi_counitary(inst, _element_e(inst, entry))))
+    bad = [f"{label}.{line.name}" for label, lines in named
+           for line in lines if line.outcome != "pass"]
+    if bad:
+        raise StructuralError(f"input {target!r} rejected: " + ", ".join(bad))
+
+
+def build_structure(ctx, entry):
+    """The structure a scenario entry declares, built once its input passes
+    the entry's preconditions."""
+    _require(ctx, (entry["type"], entry.get("constructor")), entry)
+    return STRUCTURES[entry["type"]](ctx, entry)
+
+
+# ---------------------------------------------------------------------------
 # loading and running
 
 
@@ -552,13 +615,12 @@ def run_scenario(doc: dict, seed=None, window=None) -> Report:
     rng = random.Random(seed)
     ctx = Context(doc["name"])
     for entry in doc["structures"]:
-        builder = STRUCTURES.get(entry.get("type"))
-        if builder is None:
+        if entry.get("type") not in STRUCTURES:
             raise ScenarioError(f"{doc['name']}: unknown structure type {entry.get('type')!r}")
         if "id" not in entry:
             raise ScenarioError(f"{doc['name']}: structure entry without id")
         try:
-            ctx.add(entry["id"], builder(ctx, entry))
+            ctx.add(entry["id"], build_structure(ctx, entry))
         except ScenarioError:
             raise
         except MhopfError as exc:
@@ -570,10 +632,10 @@ def run_scenario(doc: dict, seed=None, window=None) -> Report:
         name = entry.get("check")
         if name not in CHECKS:
             raise ScenarioError(f"{doc['name']}: unknown check {name!r}")
-        fn, _ = CHECKS[name]
         label = entry.get("target", entry.get("left", ""))
         try:
-            lines = fn(ctx, entry, window, rng)
+            _require(ctx, ("check", name), entry)
+            lines = _check_lines(ctx, name, entry, window, rng)
         except ScenarioError:
             raise
         except KeyError as exc:

@@ -50,7 +50,6 @@ from mhopf.partial_actions import (
     globalize,
     induce_from_projection,
     junk_globalization,
-    relabel_globalization,
 )
 from mhopf.scenarios import _random_hom_samples
 from mhopf.vectors import FinVec
@@ -148,7 +147,7 @@ def test_primary_4_corner_action_reproduction():
                   "defining battery passes")
 
 
-def test_primary_5_globalization_theorem():
+def test_primary_5_globalization_theorem(relabel):
     S3 = parse_group("symmetric:3")
     P = example_fN(S3, alternating_elements(3))
     env = globalize(P)
@@ -163,7 +162,7 @@ def test_primary_5_globalization_theorem():
     ok = ok and check_minimal(junk).outcome == "fail"
     cmp_junk = {r.name: r for r in compare_envelopes(junk, env)}
     ok = ok and cmp_junk["injective"].outcome == "fail"
-    twin = relabel_globalization(env, lambda t: ("twin", t))
+    twin = relabel(env, lambda t: ("twin", t))
     ok = ok and all_pass(compare_envelopes(env, twin))
     report(5, ok, "envelope battery and minimality pass, junk summand "
                   "caught with nonzero kernel, isomorphic envelopes "

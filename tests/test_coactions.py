@@ -24,6 +24,7 @@ from mhopf.coactions import (
 from mhopf.errors import CapabilityError, StructuralError
 from mhopf.groups import alternating_elements, parse_group
 from mhopf.mha import instance_for
+from mhopf.scenarios import Context, build_structure
 from mhopf.vectors import FinVec
 
 F = Fraction
@@ -233,11 +234,27 @@ class TestCoenvelope:
         for res in results:
             assert res.outcome == "pass", (res.name, res.witnesses)
 
-    def test_rejects_broken_input_naming_lines(self, corner_coaction, S3):
+    def test_rejects_broken_input_naming_lines(self, corner_coaction):
+        # the scenario runner, not coaction_globalize, owns the precondition
         bad = mutate_coaction(corner_coaction, "e_scale")
-        with pytest.raises(StructuralError, match="rejected input") as exc:
-            coaction_globalize(bad, FinVec.basis(S3.identity))
-        assert "e_multiplier" in str(exc.value)
+        want = [f"partial_coaction:B.{r.name}" for r in check_partial_coaction(bad)
+                if r.outcome != "pass"]
+        assert "partial_coaction:B.e_multiplier" in want
+        ctx = Context("e_scale")
+        ctx.add("B", bad)
+        with pytest.raises(StructuralError) as exc:
+            build_structure(ctx, {"id": "env", "type": "coenvelope", "coaction": "B"})
+        assert str(exc.value) == "input 'B' rejected: " + ", ".join(want)
+
+    def test_rejects_element_that_is_not_quasi_counitary(self, corner_coaction):
+        ctx = Context("e_two")
+        ctx.add("C", corner_coaction)
+        entry = {"id": "env", "type": "coenvelope", "coaction": "C",
+                 "e": [[[0, 1, 2], 2]]}
+        with pytest.raises(StructuralError) as exc:
+            build_structure(ctx, entry)
+        assert str(exc.value) == (
+            "input 'C' rejected: quasi_counitary:C.idempotent, quasi_counitary:C.counit_one")
 
     def test_identity_pi_fails_on_partial_case(self, corner_coaction, S3):
         G = coaction_globalize(corner_coaction, FinVec.basis(S3.identity))

@@ -11,12 +11,14 @@ from mhopf.partial_actions import (
     Globalization,
     check_enveloping,
     check_minimal,
+    check_partial_action,
+    check_symmetric,
     compare_envelopes,
     example_fN,
     globalize,
     junk_globalization,
-    relabel_globalization,
 )
+from mhopf.scenarios import Context, build_structure
 from mhopf.vectors import FinVec
 
 F = Fraction
@@ -75,10 +77,22 @@ class TestEnvelope:
                 assert theta_span.contains(prod)
 
     def test_broken_action_rejected(self, action):
+        # the scenario runner, not globalize, owns the precondition: every
+        # line of partial_action and symmetric that is not pass is named
         broken = action._replace(
             e_map=lambda a: Multiplier.identity(action.algebra))
-        with pytest.raises(StructuralError, match="not a symmetric partial action"):
-            globalize(broken)
+        want = [f"partial_action:P.{r.name}" for r in check_partial_action(broken)
+                if r.outcome != "pass"]
+        want += [f"symmetric:P.{r.name}" for r in check_symmetric(broken)
+                 if r.outcome != "pass"]
+        assert want
+        ctx = Context("broken")
+        ctx.add("P", broken)
+        entry = {"id": "env", "type": "envelope", "constructor": "globalize", "action": "P"}
+        with pytest.raises(StructuralError) as exc:
+            build_structure(ctx, entry)
+        assert str(exc.value) == "input 'P' rejected: " + ", ".join(want)
+        assert "env" not in ctx.objects
 
 
 class TestMinimalityContrast:
@@ -115,8 +129,8 @@ class TestMinimalityContrast:
 
 
 class TestIsomorphicEnvelopes:
-    def test_relabelled_copy_matched_bijectively(self, envelope):
-        other = relabel_globalization(
+    def test_relabelled_copy_matched_bijectively(self, envelope, relabel):
+        other = relabel(
             envelope, lambda t: ("shifted", t), name="envelope-copy")
         for res in check_enveloping(other):
             assert res.outcome == "pass", (res.name, res.witnesses)
@@ -128,9 +142,9 @@ class TestIsomorphicEnvelopes:
         assert "well_defined" in names and "injective" in names
         assert "homomorphism" in names and "module_map" in names
 
-    def test_relabelling_must_be_injective(self, envelope):
+    def test_relabelling_must_be_injective(self, envelope, relabel):
         with pytest.raises(StructuralError, match="injective"):
-            relabel_globalization(envelope, lambda t: "same")
+            relabel(envelope, lambda t: "same")
 
     def test_comparing_unrelated_actions_rejected(self, envelope, S3):
         other_action = example_fN(S3, (S3.identity,))

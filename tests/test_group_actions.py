@@ -22,6 +22,7 @@ from mhopf.group_actions import (
 )
 from mhopf.groups import parse_group
 from mhopf.partial_actions import check_partial_action, check_symmetric
+from mhopf.scenarios import Context, build_structure
 from mhopf.vectors import FinVec
 
 F = Fraction
@@ -134,8 +135,16 @@ class TestMutations:
         by_name = {r.name: r for r in results}
         assert by_name["alpha_multiplicative"].outcome == "fail"
         assert by_name["composition"].outcome == "fail"
-        with pytest.raises(StructuralError, match="rejected input"):
-            to_hopf(bad)
+        # the scenario runner rejects the mutant before to_hopf sees it
+        want = [f"pga:M.{r.name}" for r in results if r.outcome != "pass"]
+        want += [f"sigma_conditions:M.{r.name}" for r in check_sigma_conditions(bad)
+                 if r.outcome != "pass"]
+        ctx = Context("alpha")
+        ctx.add("M", bad)
+        entry = {"id": "Q", "type": "action", "constructor": "to_hopf", "pga": "M"}
+        with pytest.raises(StructuralError) as exc:
+            build_structure(ctx, entry)
+        assert str(exc.value) == "input 'M' rejected: " + ", ".join(want)
 
     def test_noncentral_sigma_detected(self, S3):
         P = conjugation_pga(S3, (1, 0, 2))
@@ -176,7 +185,7 @@ class TestMutations:
         )
         broken = Q._replace(e_map=lambda g: lopsided)
         with pytest.raises(StructuralError, match="not central, witness"):
-            to_group(broken, skip_checks=True)
+            to_group(broken)
 
     def test_unknown_mutation_kind(self, translation):
         with pytest.raises(StructuralError, match="unknown mutation"):

@@ -131,7 +131,7 @@ class TestInducedAction:
     def test_projection_battery(self, corner_action, evaluation):
         proj = central_idempotent_projection(
             evaluation, corner_action.aux["idempotent"])
-        for res in check_a_projection(proj, symmetric=True):
+        for res in check_a_projection(proj):
             assert res.outcome == "pass", (res.name, res.witnesses)
 
     def test_identity_projection_gives_global_flag(self, evaluation):
@@ -145,7 +145,7 @@ class TestInducedAction:
     def test_noncentral_idempotent_rejected(self, evaluation, S3):
         p = (FinVec.basis(S3.identity) + FinVec.basis(SWAP01)).scale(F(1, 2))
         proj = central_idempotent_projection(evaluation, p)
-        results = check_a_projection(proj, symmetric=True)
+        results = check_a_projection(proj)
         assert any(r.outcome == "fail" for r in results)
         with pytest.raises(StructuralError, match="projection rejected"):
             induce_from_projection(proj)

@@ -310,6 +310,37 @@ def test_verdicts_come_from_checkresult_law():
     assert offenders == []
 
 
+PURE_CONSTRUCTORS = {
+    "globalize", "junk_globalization", "to_hopf", "to_group", "coaction_globalize"}
+
+
+def test_constructors_run_no_checks():
+    """Derived structures come from pure constructors, and the scenario
+    runner validates their inputs once: no `def` takes a `*_checks`
+    parameter, and no constructor of a derived structure calls a
+    `check_*` function."""
+    offenders = []
+    found = set()
+    for path in sorted(Path(mhopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            offenders += [
+                f"{path.name}:{node.lineno}: {node.name}({a.arg})"
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                if a.arg.endswith("_checks")]
+            if node.name not in PURE_CONSTRUCTORS:
+                continue
+            found.add(node.name)
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and (_names(call.func) or "").startswith("check_"):
+                    offenders.append(
+                        f"{path.name}:{call.lineno}: {node.name} calls {_names(call.func)}")
+    assert found == PURE_CONSTRUCTORS
+    assert offenders == []
+
+
 def test_no_module_but_vectors_touches_the_coefficient_dict():
     """`once_per_pair` hands the same `FinVec` to every caller, so a vector
     must never change after it is built.  Only `vectors.py` may read or
