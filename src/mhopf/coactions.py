@@ -32,6 +32,7 @@ projection pi) with its full verification battery.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -322,7 +323,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
         for tok in C.E.window
     )
     law_unrestricted = all(
-        _coassoc_sides(C, x, a, b, use_e=False)[0] == _coassoc_sides(C, x, a, b, use_e=False)[1]
+        operator.eq(*_coassoc_sides(C, x, a, b, use_e=False))
         for x in lbasis
         for a in win
         for b in win
@@ -603,7 +604,9 @@ def _phi_e(G: CoactionGlobalization, z: FinVec, w) -> FinVec:
 
 
 def check_coglobalization(G: CoactionGlobalization, window=None):
-    """Verification battery for the enveloping coaction."""
+    """Verification battery for the enveloping coaction.  The projection
+    of each basis vector of Q is computed once per call and shared by
+    `pi_projection`, `e_projection` and `unital_specialization`."""
     C = G.base
     win = pick_window(window, lambda: G.aux["a_window"])
     lbasis = C.target_basis()
@@ -650,9 +653,9 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     pi_image = [G.pi(v) for v in G.q_basis]
     if not spans.subspace_equal(pi_image, theta_vecs):
         proj_wit.append({"law": "pi(Q) = theta(L)"})
-    for v in G.q_basis:
-        for w in G.q_basis:
-            if G.pi(com.algebra.mul(v, w)) != com.algebra.mul(G.pi(v), G.pi(w)):
+    for v, pv in zip(G.q_basis, pi_image):
+        for w, pw in zip(G.q_basis, pi_image):
+            if G.pi(com.algebra.mul(v, w)) != com.algebra.mul(pv, pw):
                 proj_wit.append({"law": "multiplicative"})
                 break
         else:
@@ -661,8 +664,8 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     results.append(CheckResult.law("pi_projection", proj_wit[:4]))
 
     eproj_wit = []
-    for i, v in enumerate(G.q_basis):
-        lhs = _pi_tensor(G, com.rho_r_vec(G.pi(v), G.e))
+    for i, (v, pv) in enumerate(zip(G.q_basis, pi_image)):
+        lhs = _pi_tensor(G, com.rho_r_vec(pv, G.e))
         inner = _pi_tensor(G, com.rho_r_vec(v, G.e))
         terms = []
         for w, comp in _components(inner).items():
@@ -696,8 +699,8 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
         one_theta = G.theta(C.target.one)
         uni_wit = [
             {"basis_index": i}
-            for i, v in enumerate(G.q_basis)
-            if G.pi(v) != com.algebra.mul(one_theta, v)
+            for i, (v, pv) in enumerate(zip(G.q_basis, pi_image))
+            if pv != com.algebra.mul(one_theta, v)
         ]
         results.append(CheckResult.law("unital_specialization", uni_wit[:4]))
     return results

@@ -18,7 +18,7 @@ from .algebras import Algebra, local_unit
 from .errors import CapabilityError, NoLocalUnitError, StructuralError
 from .mha import MhaInstance
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, lincomb, linear, token_key
+from .vectors import FinVec, bilinear, lincomb, linear, once_per_pair, token_key
 
 Rule = Callable[[object], FinVec]
 
@@ -156,12 +156,16 @@ def default_samples(M: MhaInstance, R: Algebra, window) -> list[HomRElem]:
 
 
 def check_conv_associative(samples: list[HomRElem]) -> CheckResult:
+    """(F*G)*H = F*(G*H) on every triple of samples.  Each pair product
+    F*G is computed once per call, so n samples take n^2 + 2 n^3
+    products."""
+    pair = once_per_pair(lambda i, j: conv_mul(samples[i], samples[j]))
     witnesses = []
-    for F in samples:
-        for G in samples:
-            for H in samples:
-                left = conv_mul(conv_mul(F, G), H)
-                right = conv_mul(F, conv_mul(G, H))
+    for i, F in enumerate(samples):
+        for j, G in enumerate(samples):
+            for k, H in enumerate(samples):
+                left = conv_mul(pair(i, j), H)
+                right = conv_mul(F, pair(j, k))
                 if left != right:
                     witnesses.append({"triple": (F, G, H), "left": left, "right": right})
                     if len(witnesses) >= 2:

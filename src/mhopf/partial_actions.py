@@ -433,13 +433,46 @@ def as_partial(ctx: GlobalAction, a_window=None) -> PartialActionData:
     )
 
 
+def _projection_mismatches(aw, vecs, act_vec, mul, proj):
+    """Every failure of the two projection laws
+
+        right:  proj(a |> (v (b |> w))) = proj(a |> (v proj(b |> w)))
+        left:   proj(a |> ((b |> v) w)) = proj(a |> (proj(b |> v) w))
+
+    over a, b in `aw` and v, w in `vecs`, as (law, a, b, v, w, lhs, rhs) in
+    (a, b, v, w) order, the right law first.
+
+    The two products inside each side depend on (b, v, w) alone, so each
+    is computed once.  When they are equal, both sides agree for every a,
+    so only unequal products go through `a |>` and `proj` per a."""
+    unequal = []
+    for b in aw:
+        acted = [act_vec(FinVec.basis(b), v) for v in vecs]
+        projected = [proj(u) for u in acted]
+        for v, bv, pbv in zip(vecs, acted, projected):
+            for w, bw, pbw in zip(vecs, acted, projected):
+                for law, x, y in (("right", mul(v, bw), mul(v, pbw)),
+                                  ("left", mul(bv, w), mul(pbv, w))):
+                    if x != y:
+                        unequal.append((law, b, v, w, x, y))
+    for a in aw:
+        av = FinVec.basis(a)
+        for law, b, v, w, x, y in unequal:
+            lhs = proj(act_vec(av, x))
+            rhs = proj(act_vec(av, y))
+            if lhs != rhs:
+                yield law, a, b, v, w, lhs, rhs
+
+
 def check_a_projection(
     proj: AProjection,
     a_window=None,
     r_window=None,
 ) -> list[CheckResult]:
     """Idempotence, multiplicativity, image span, and the defining
-    commutation of projection with nested actions."""
+    commutation of projection with nested actions.  The products of the
+    two commutation identities are computed once per (b, x, y)
+    (`_projection_mismatches`)."""
     ctx = proj.context
     aw = ctx.instance.basis_window(a_window)
     rw = ctx.algebra.basis_window(r_window)
@@ -476,37 +509,15 @@ def check_a_projection(
     results.append(CheckResult.law("pi_multiplicative", witnesses[:3], r_window=len(rw)))
 
     sub = [v for v in proj.image if not v.is_zero()]
-    witnesses = []
-    for a in aw:
-        for b in aw:
-            for x in sub:
-                for y in sub:
-                    by = ctx.act_vec(FinVec.basis(b), y)
-                    lhs = proj.rule(ctx.act_vec(
-                        FinVec.basis(a), ctx.algebra.mul(x, by)))
-                    rhs = proj.rule(ctx.act_vec(
-                        FinVec.basis(a), ctx.algebra.mul(x, proj.rule(by))))
-                    if lhs != rhs:
-                        witnesses.append({"a": a, "b": b, "x": x, "y": y,
-                                          "lhs": lhs, "rhs": rhs})
+    witnesses = {"right": [], "left": []}
+    for law, a, b, x, y, lhs, rhs in _projection_mismatches(
+            aw, sub, ctx.act_vec, ctx.algebra.mul, proj.rule):
+        witnesses[law].append({"a": a, "b": b, "x": x, "y": y, "lhs": lhs, "rhs": rhs})
     results.append(CheckResult.law(
-        "a_projection_identity", witnesses[:3], a_window=len(aw), sub_dim=len(sub)))
-
-    witnesses = []
-    for a in aw:
-        for b in aw:
-            for x in sub:
-                for y in sub:
-                    bx = ctx.act_vec(FinVec.basis(b), x)
-                    lhs = proj.rule(ctx.act_vec(
-                        FinVec.basis(a), ctx.algebra.mul(bx, y)))
-                    rhs = proj.rule(ctx.act_vec(
-                        FinVec.basis(a), ctx.algebra.mul(proj.rule(bx), y)))
-                    if lhs != rhs:
-                        witnesses.append({"a": a, "b": b, "x": x, "y": y,
-                                          "lhs": lhs, "rhs": rhs})
+        "a_projection_identity", witnesses["right"][:3],
+        a_window=len(aw), sub_dim=len(sub)))
     results.append(CheckResult.law(
-        "symmetric_projection_identity", witnesses[:3],
+        "symmetric_projection_identity", witnesses["left"][:3],
         a_window=len(aw), sub_dim=len(sub)))
     return results
 
@@ -782,23 +793,32 @@ def junk_globalization(P: PartialActionData, a_window=None) -> Globalization:
 
 def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
     """Envelope laws: module algebra structure, embedding is a
-    monomorphism onto an ideal, projection compatibility, generation."""
+    monomorphism onto an ideal, projection compatibility, generation.
+
+    Every tuple of every law is checked.  What does not depend on the
+    outer acting token is computed once per call: u |> v for each token
+    u and generator v, the product of each pair of generators (shared
+    by `env_product_law` and `generation`), and the four products of
+    `pi_a_projection` for each (b, v, w).  Where the two products of one
+    side of `pi_a_projection` are equal, that side holds for every a and
+    is not projected per a (`_projection_mismatches`)."""
     P = G.action
     M = P.instance
     aw = G.acting_window(a_window)
     lbasis = P.algebra.basis
     results = []
 
-    gens = [v for v in G.generators]
-    nonzero_gens = [v for v in gens if not v.is_zero()]
+    nonzero_gens = [v for v in G.generators if not v.is_zero()]
+    acted = once_per_pair(lambda u, i: G.act_vec(FinVec.basis(u), nonzero_gens[i]))
+    gen_product = once_per_pair(lambda i, j: G.algebra.mul(nonzero_gens[i], nonzero_gens[j]))
 
     witnesses = []
     for a in aw:
         for b in aw:
             ab = M.algebra.mul_basis(a, b)
-            for v in nonzero_gens:
-                lhs = G.act_vec(FinVec.basis(a), G.act_vec(FinVec.basis(b), v))
-                rhs = G.act_vec(ab, v)
+            for i, v in enumerate(nonzero_gens):
+                lhs = G.act_vec(FinVec.basis(a), acted(b, i))
+                rhs = linear(lambda u: acted(u, i))(ab)
                 if lhs != rhs:
                     witnesses.append({"a": a, "b": b, "v": v, "lhs": lhs, "rhs": rhs})
     results.append(CheckResult.law(
@@ -813,14 +833,16 @@ def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
             unresolved.append({"w": w, "exhausted": exhausted})
         covers.append(cover)
     for a in aw:
-        for v in nonzero_gens:
-            for w, cover in zip(nonzero_gens, covers):
-                if cover is None:
+        av = FinVec.basis(a)
+        covered = [None if c is None else bilinear(M.delta_r)(av, c) for c in covers]
+        for i, v in enumerate(nonzero_gens):
+            for j, (w, cov) in enumerate(zip(nonzero_gens, covered)):
+                if cov is None:
                     continue
-                lhs = G.act_vec(FinVec.basis(a), G.algebra.mul(v, w))
+                lhs = G.act_vec(av, gen_product(i, j))
                 rhs = linear(
-                    lambda ut: G.algebra.mul(G.act_vec(ut[0], v), G.act_vec(ut[1], w))
-                )(bilinear(M.delta_r)(FinVec.basis(a), cover))
+                    lambda ut: G.algebra.mul(acted(ut[0], i), acted(ut[1], j))
+                )(cov)
                 if lhs != rhs:
                     witnesses.append({"a": a, "v": v, "w": w, "lhs": lhs, "rhs": rhs})
     results.append(CheckResult.law(
@@ -875,10 +897,9 @@ def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
     for x in lbasis:
         if not gen_span.contains(G.theta_map[x]):
             witnesses.append({"theta_outside": x})
-    for v in nonzero_gens:
-        for w in nonzero_gens:
-            prod = G.algebra.mul(v, w)
-            if not gen_span.contains(prod):
+    for i, v in enumerate(nonzero_gens):
+        for j, w in enumerate(nonzero_gens):
+            if not gen_span.contains(gen_product(i, j)):
                 witnesses.append({"product_outside": (v, w)})
     results.append(CheckResult.law(
         "generation", witnesses[:3], generators=len(nonzero_gens)))
@@ -894,22 +915,9 @@ def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
         if G.pi(G.theta_map[x]) != G.theta_map[x]:
             witnesses.append({"x": x, "pi_theta": G.pi(G.theta_map[x])})
     nonzero_theta = [v for v in theta_vecs if not v.is_zero()]
-    for a in aw:
-        for b in aw:
-            for v in nonzero_theta:
-                for w in nonzero_theta:
-                    bw = G.act_vec(FinVec.basis(b), w)
-                    lhs = G.pi(G.act_vec(FinVec.basis(a), G.algebra.mul(v, bw)))
-                    rhs = G.pi(G.act_vec(FinVec.basis(a), G.algebra.mul(v, G.pi(bw))))
-                    if lhs != rhs:
-                        witnesses.append({"law": "right", "a": a, "b": b,
-                                          "lhs": lhs, "rhs": rhs})
-                    bv = G.act_vec(FinVec.basis(b), v)
-                    lhs = G.pi(G.act_vec(FinVec.basis(a), G.algebra.mul(bv, w)))
-                    rhs = G.pi(G.act_vec(FinVec.basis(a), G.algebra.mul(G.pi(bv), w)))
-                    if lhs != rhs:
-                        witnesses.append({"law": "left", "a": a, "b": b,
-                                          "lhs": lhs, "rhs": rhs})
+    for law, a, b, _, _, lhs, rhs in _projection_mismatches(
+            aw, nonzero_theta, G.act_vec, G.algebra.mul, G.pi):
+        witnesses.append({"law": law, "a": a, "b": b, "lhs": lhs, "rhs": rhs})
     results.append(CheckResult.law("pi_a_projection", witnesses[:3], a_window=len(aw)))
     return results
 

@@ -79,7 +79,7 @@ def _element_e(inst, entry) -> FinVec:
 
 class Context:
     """Built structures by id, with typed resolution, and the lines of the
-    precondition checks run so far, by (check, target id, window)."""
+    precondition checks run so far, by (check, target id, window read)."""
 
     def __init__(self, name):
         self.name = name
@@ -541,15 +541,17 @@ PRECONDITIONS = {
     ("coenvelope", None): ("coaction", ("partial_coaction",)),
 }
 _STORED = {check for _, checks in PRECONDITIONS.values() for check in checks}
+# stored checks whose battery reads no window
+_WINDOWLESS = {"pga", "sigma_conditions"}
 
 
 def _check_lines(ctx, name, entry, window, rng):
     """The lines of one check.  A precondition check runs at most once per
-    (target, window); none of them draws from `rng`."""
+    (target, window it reads); none of them draws from `rng`."""
     fn = CHECKS[name][0]
     if name not in _STORED:
         return fn(ctx, entry, window, rng)
-    key = (name, entry["target"], window)
+    key = (name, entry["target"], None if name in _WINDOWLESS else window)
     if key not in ctx.lines:
         ctx.lines[key] = fn(ctx, entry, window, rng)
     return ctx.lines[key]

@@ -1,0 +1,69 @@
+"""How much work a law battery does, counted without a clock.
+
+`check_enveloping` computes every product that does not depend on the
+outer acting token once per call, and projects per acting token only
+where `pi_a_projection`'s two products differ; `check_conv_associative`
+computes each pair product once.  These counts pin that, so per-token
+work that comes back shows here as a number, not as a slower benchmark.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from mhopf import homr
+from mhopf.algebras import group_algebra_plain
+from mhopf.groups import alternating_elements, cyclic_group, subgroup_elements, symmetric_group
+from mhopf.mha import instance_for
+from mhopf.partial_actions import check_enveloping, example_fN, globalize
+from mhopf.scenarios import _random_hom_samples
+
+
+def counted_envelope(G, counts):
+    """G with its envelope algebra's basis product and its projection
+    counted in `counts`."""
+    def mul_basis(p, q, _inner=G.algebra.mul_basis):
+        counts["mul_basis"] += 1
+        return _inner(p, q)
+
+    def pi_rule(v, _inner=G.pi_rule):
+        counts["pi_rule"] += 1
+        return _inner(v)
+
+    return G._replace(algebra=G.algebra._replace(mul_basis=mul_basis), pi_rule=pi_rule)
+
+
+ENVELOPES = {
+    "S3": lambda: example_fN(symmetric_group(3), alternating_elements(3)),
+    "C8": lambda: example_fN(cyclic_group(8), subgroup_elements(cyclic_group(8), "generated:[2]")),
+}
+
+
+@pytest.mark.parametrize("group, want", [
+    ("S3", {"mul_basis": 468, "pi_rule": 38}),
+    ("C8", {"mul_basis": 960, "pi_rule": 50}),
+])
+def test_enveloping_work(group, want):
+    G = globalize(ENVELOPES[group]())
+    counts = Counter()
+    results = check_enveloping(counted_envelope(G, counts))
+    assert all(r.outcome == "pass" for r in results)
+    assert dict(counts) == want
+
+
+def test_conv_associative_pair_products_once(monkeypatch):
+    calls = Counter()
+    exact = homr.conv_mul
+
+    def conv_mul(F, G):
+        calls["conv_mul"] += 1
+        return exact(F, G)
+
+    monkeypatch.setattr(homr, "conv_mul", conv_mul)
+    S3 = symmetric_group(3)
+    samples = _random_hom_samples(
+        random.Random(5), instance_for("A_G", S3), group_algebra_plain(S3), 5)
+    assert homr.check_conv_associative(samples).outcome == "pass"
+    # 25 pair products, then two products per triple
+    assert calls["conv_mul"] == 25 + 2 * 125

@@ -39,9 +39,12 @@ def calls(monkeypatch):
     return counts
 
 
+PGA_ONCE = {"check_pga": 1, "check_sigma_conditions": 1,
+            "check_partial_action": 1, "check_symmetric": 1}
+
+
 @pytest.mark.parametrize("scenario, want", [
-    ("pga_C6_full", {"check_pga": 1, "check_sigma_conditions": 1,
-                     "check_partial_action": 1, "check_symmetric": 1}),
+    ("pga_C6_full", PGA_ONCE),
     ("envelope_fN_C6", {"check_partial_action": 1, "check_symmetric": 1}),
     ("coaction_C6", {"check_partial_coaction": 1}),
 ])
@@ -50,6 +53,15 @@ def test_each_battery_runs_once(calls, scenario, want):
     report = run_scenario(load_scenario(path.read_text(), name=scenario))
     assert report.to_json() == (BENCH / "goldens" / f"{scenario}.json").read_text()
     assert dict(calls) == want
+
+
+def test_windowless_battery_runs_once_under_a_window(calls):
+    # `pga` and `sigma_conditions` read no window: the to_hopf precondition
+    # (run without one) and the scenario's own checks share their lines
+    path = BENCH / "scenarios" / "pga_C6_full.json"
+    report = run_scenario(load_scenario(path.read_text()), window=2)
+    assert report.outcome() == "pass"
+    assert dict(calls) == PGA_ONCE
 
 
 def _doc(base, name, structures=(), checks=None):
