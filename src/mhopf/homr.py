@@ -12,7 +12,7 @@ comultiplication only.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebras import Algebra, local_unit
 from .errors import CapabilityError, NoLocalUnitError, StructuralError
@@ -137,24 +137,6 @@ def module_act(a, F: HomRElem) -> HomRElem:
     )
 
 
-def default_samples(M: MhaInstance, R: Algebra, window) -> list[HomRElem]:
-    """Deterministic sample tables from the first window and basis tokens."""
-    if R.basis is None:
-        raise CapabilityError("sample construction needs a finite target basis")
-    toks = list(window)[:2]
-    rtoks = [t for t in R.basis[:2]]
-    if not toks or not rtoks:
-        raise StructuralError("empty window or target basis")
-    r0 = FinVec.basis(rtoks[0])
-    r1 = FinVec.basis(rtoks[-1])
-    samples = [
-        HomRElem(M, R, {toks[0]: r0}),
-        HomRElem(M, R, {toks[-1]: r1}),
-        HomRElem(M, R, {toks[0]: r0 + r1.scale(2), toks[-1]: r0}),
-    ]
-    return samples
-
-
 def check_conv_associative(samples: list[HomRElem]) -> CheckResult:
     """(F*G)*H = F*(G*H) on every triple of samples.  Each pair product
     F*G is computed once per call, so n samples take n^2 + 2 n^3
@@ -188,15 +170,13 @@ def check_module_algebra(
     M: MhaInstance,
     R: Algebra,
     window=None,
-    samples: Optional[list[HomRElem]] = None,
+    *,
+    samples: list[HomRElem],
     act=module_act,
 ) -> list[CheckResult]:
     """Module law, support local units acting as units, and the covered
-    product law a |> (F*G) = sum (a_1 |> F) * (a_2 e |> G)."""
+    product law a |> (F*G) = sum (a_1 |> F) * (a_2 e |> G) on `samples`."""
     window = M.basis_window(window)
-    if samples is None:
-        samples = default_samples(M, R, window)
-
     results = []
 
     witnesses = []
@@ -303,38 +283,3 @@ def check_convolutive_inverse(
             if len(witnesses) >= 6:
                 return CheckResult.law("convolutive_inverse", witnesses)
     return CheckResult.law("convolutive_inverse", witnesses, evaluations=checked)
-
-
-def check_antipode_from_inverse(M: MhaInstance, candidate: Rule, window=None) -> list[CheckResult]:
-    """A central convolutive inverse of the identity is the antipode: the
-    candidate must be an anti-homomorphism and satisfy both antipode
-    identities on the window."""
-    window = M.basis_window(window)
-    results = []
-
-    witnesses = []
-    for a in window:
-        for b in window:
-            lhs = linear(candidate)(M.algebra.mul_basis(a, b))
-            rhs = M.algebra.mul(candidate(b), candidate(a))
-            if lhs != rhs:
-                witnesses.append({"pair": (a, b), "S'(ab)": lhs, "S'(b)S'(a)": rhs})
-    results.append(CheckResult.law(
-        "candidate_antihomomorphism", witnesses[:3], pairs=len(window) ** 2))
-
-    witnesses = []
-    for c in window:
-        for a in window:
-            left = linear(
-                lambda uv: M.algebra.mul(candidate(uv[0]), FinVec.basis(uv[1]))
-            )(M.delta_r(c, a))
-            if left != FinVec.basis(a, M.counit(c)):
-                witnesses.append({"law": "m(S' x i)", "pair": (c, a), "value": left})
-            right = linear(
-                lambda uv: M.algebra.mul(FinVec.basis(uv[0]), candidate(uv[1]))
-            )(M.delta_l(a, c))
-            if right != FinVec.basis(a, M.counit(c)):
-                witnesses.append({"law": "m(i x S')", "pair": (c, a), "value": right})
-    results.append(CheckResult.law(
-        "antipode_identities", witnesses[:3], pairs=len(window) ** 2))
-    return results

@@ -169,13 +169,15 @@ def check_partial_action(
     lw = P.algebra.basis_window(l_window)
     results = []
 
+    # x (b . y) does not depend on a: one product per (b, x, y)
+    inner = {(b, x, y): P.algebra.mul(FinVec.basis(x), P.act(b, y))
+             for b in aw for x in lw for y in lw}
     witnesses = []
     for a in aw:
         for b in aw:
             for x in lw:
                 for y in lw:
-                    inner = P.algebra.mul(FinVec.basis(x), P.act(b, y))
-                    lhs = P.act_vec(FinVec.basis(a), inner)
+                    lhs = P.act_vec(FinVec.basis(a), inner[b, x, y])
                     rhs = linear(
                         lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
                     )(M.delta_r(a, b))
@@ -283,13 +285,15 @@ def check_symmetric(
     lw = P.algebra.basis_window(l_window)
     results = []
 
+    # (b . x) y does not depend on a: one product per (b, x, y)
+    inner = {(b, x, y): P.algebra.mul(P.act(b, x), FinVec.basis(y))
+             for b in aw for x in lw for y in lw}
     witnesses = []
     for a in aw:
         for b in aw:
             for x in lw:
                 for y in lw:
-                    inner = P.algebra.mul(P.act(b, x), FinVec.basis(y))
-                    lhs = P.act_vec(FinVec.basis(a), inner)
+                    lhs = P.act_vec(FinVec.basis(a), inner[b, x, y])
                     rhs = linear(
                         lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
                     )(M.delta_r_flip(a, b))
@@ -532,15 +536,6 @@ def central_idempotent_projection(ctx: GlobalAction, idem: FinVec) -> AProjectio
         context=ctx,
         rule=lambda v: alg.mul(idem, v),
         image=tuple(image),
-    )
-
-
-def identity_projection(ctx: GlobalAction) -> AProjection:
-    rw = ctx.algebra.basis_window(None)
-    return AProjection(
-        context=ctx,
-        rule=lambda v: v,
-        image=tuple(FinVec.basis(t) for t in rw),
     )
 
 

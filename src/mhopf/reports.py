@@ -4,9 +4,7 @@ A check yields pass, fail (with exact witnesses) or inconclusive, and every
 law reaches its verdict through `CheckResult.law`.  Inconclusive comes from
 an indicator search that hit its cap or a partial window (`local_units`,
 `quasi_unitary`, `env_product_law`), from `regular` on a partial window,
-and from the fixed-reason lines of a coenvelope (`closure_bounded`,
-`subcomodule_window`, `generators_recovered` past `dim_bound`, or with no
-window element of nonzero counit; `unital_specialization` with no unit).
+and from a coenvelope's `unital_specialization` with no unit.
 Reports render to canonical JSON: same scenario and seed means
 byte-identical output.
 """

@@ -235,8 +235,7 @@ def _build_envelope(ctx, entry):
 
 def _build_coenvelope(ctx, entry):
     base = ctx.get(entry["coaction"], coactions.PartialCoactionData)
-    env = coactions.coaction_globalize(
-        base, _element_e(base.instance, entry), dim_bound=entry.get("dim_bound", 512))
+    env = coactions.coaction_globalize(base, _element_e(base.instance, entry))
     if entry.get("mutate") == "pi_identity":
         env = coactions.with_identity_pi(env)
     return env

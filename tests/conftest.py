@@ -1,6 +1,7 @@
 import pytest
 
 from mhopf.algebras import Algebra, Corner, group_algebra_plain, subgroup_average_idempotent
+from mhopf.coactions import GlobalComodule
 from mhopf.errors import StructuralError
 from mhopf.groups import alternating_elements, cyclic_group, symmetric_group
 from mhopf.mha import instance_for
@@ -61,6 +62,22 @@ def relabel_globalization(G, token_fn, name=None):
 @pytest.fixture(scope="session")
 def relabel():
     return relabel_globalization
+
+
+def regular_comodule(instance):
+    """A coacting on itself through its own comultiplication."""
+    return GlobalComodule(
+        name=f"regular-comodule:{instance.name}",
+        algebra=instance.algebra,
+        instance=instance,
+        rho_r=instance.delta_r,
+        rho_l=instance.delta_l,
+    )
+
+
+@pytest.fixture(scope="session")
+def regular():
+    return regular_comodule
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,10 @@
 
 `check_enveloping` computes every product that does not depend on the
 outer acting token once per call, and projects per acting token only
-where `pi_a_projection`'s two products differ; `check_conv_associative`
-computes each pair product once.  These counts pin that, so per-token
+where `pi_a_projection`'s two products differ; `check_partial_action`
+and `check_symmetric` compute the inner product of their product laws
+once per (b, x, y); `check_conv_associative` computes each pair product
+once.  These counts pin that, so per-token
 work that comes back shows here as a number, not as a slower benchmark.
 """
 
@@ -16,7 +18,13 @@ from mhopf import homr
 from mhopf.algebras import group_algebra_plain
 from mhopf.groups import alternating_elements, cyclic_group, subgroup_elements, symmetric_group
 from mhopf.mha import instance_for
-from mhopf.partial_actions import check_enveloping, example_fN, globalize
+from mhopf.partial_actions import (
+    check_enveloping,
+    check_partial_action,
+    check_symmetric,
+    example_fN,
+    globalize,
+)
 from mhopf.scenarios import _random_hom_samples
 
 
@@ -50,6 +58,21 @@ def test_enveloping_work(group, want):
     results = check_enveloping(counted_envelope(G, counts))
     assert all(r.outcome == "pass" for r in results)
     assert dict(counts) == want
+
+
+@pytest.mark.parametrize("group, want", [("S3", 96), ("C8", 160)])
+def test_partial_action_work(group, want):
+    P = ENVELOPES[group]()
+    counts = Counter()
+
+    def mul_basis(p, q, _inner=P.algebra.mul_basis):
+        counts["mul_basis"] += 1
+        return _inner(p, q)
+
+    P = P._replace(algebra=P.algebra._replace(mul_basis=mul_basis))
+    results = check_partial_action(P) + check_symmetric(P)
+    assert all(r.outcome == "pass" for r in results)
+    assert counts["mul_basis"] == want
 
 
 def test_conv_associative_pair_products_once(monkeypatch):

@@ -16,7 +16,6 @@ from mhopf.coactions import (
     dual_mul,
     generated_subcomodule,
     mutate_coaction,
-    regular_comodule,
     tensor_comodule,
     trivial_coaction,
     with_identity_pi,
@@ -25,6 +24,7 @@ from mhopf.errors import CapabilityError, StructuralError
 from mhopf.groups import alternating_elements, parse_group
 from mhopf.mha import instance_for
 from mhopf.scenarios import Context, build_structure
+from mhopf.spans import Span
 from mhopf.vectors import FinVec
 
 F = Fraction
@@ -147,12 +147,12 @@ class TestDualFunctionals:
         # omega(delta_1 _ delta_1) picks up both sandwich coefficients.
         assert dual_act(C, omega, x) == x.scale(F(70))
 
-    def test_counit_functional_recovers_elements(self):
+    def test_counit_functional_recovers_elements(self, regular):
         # On the regular comodule of kC4 the counit table (all ones)
         # composed with rho gives back the element.
         C4 = parse_group("cyclic:4")
         kC4 = instance_for("kG", C4)
-        com = regular_comodule(kC4)
+        com = regular(kC4)
         eps = DualFunctional(
             table=FinVec((g, F(1)) for g in C4.elements),
             left=None,
@@ -162,10 +162,10 @@ class TestDualFunctionals:
             y = FinVec.basis(g)
             assert dual_act(com, eps, y) == y
 
-    def test_nonpointwise_needs_right_sandwich(self):
+    def test_nonpointwise_needs_right_sandwich(self, regular):
         C4 = parse_group("cyclic:4")
         kC4 = instance_for("kG", C4)
-        com = regular_comodule(kC4)
+        com = regular(kC4)
         omega = DualFunctional(table=FinVec.basis(C4.identity))
         with pytest.raises(CapabilityError, match="right sandwich"):
             dual_act(com, omega, FinVec.basis(C4.identity))
@@ -198,28 +198,38 @@ class TestDualFunctionals:
 
 
 class TestGeneratedSubcomodule:
-    def test_orbit_of_group_like_is_full(self):
+    def test_orbit_of_group_like_is_full(self, regular):
         C4 = parse_group("cyclic:4")
         kC4 = instance_for("kG", C4)
-        com = regular_comodule(kC4)
-        basis, lines = generated_subcomodule(com, [FinVec.basis(1)])
+        basis = generated_subcomodule(regular(kC4), [FinVec.basis(1)])
         assert len(basis) == 4
-        for line in lines:
-            assert line.outcome == "pass", (line.name, line.witnesses)
+        assert all(isinstance(v, FinVec) for v in basis)
 
-    def test_zero_seed_gives_zero(self):
+    def test_zero_seed_gives_zero(self, regular):
         C4 = parse_group("cyclic:4")
         kC4 = instance_for("kG", C4)
-        com = regular_comodule(kC4)
-        basis, lines = generated_subcomodule(com, [FinVec()])
-        assert basis == ()
+        assert generated_subcomodule(regular(kC4), [FinVec()]) == ()
 
-    def test_dim_bound_reports_inconclusive(self):
+    def test_closure_runs_past_three_dimensions(self, regular):
+        # Seeded with the generator alone, the closure needs two product
+        # rounds to reach every element of C4.
         C4 = parse_group("cyclic:4")
         kC4 = instance_for("kG", C4)
-        com = regular_comodule(kC4)
-        basis, lines = generated_subcomodule(com, [FinVec.basis(1)], dim_bound=3)
-        assert all(line.outcome == "inconclusive" for line in lines)
+        span = Span(generated_subcomodule(regular(kC4), [FinVec.basis(1)]))
+        assert span.rank == 4
+        assert all(span.contains(FinVec.basis(g)) for g in C4.elements)
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "symmetric:3"])
+    def test_holds_seeds_and_closed_under_products(self, regular, spec):
+        group = parse_group(spec)
+        kG = instance_for("kG", group)
+        g, h = group.elements[1], group.elements[-1]
+        seeds = [FinVec.basis(g) + FinVec.basis(h, F(-2)), FinVec.basis(h, F(3))]
+        basis = generated_subcomodule(regular(kG), seeds)
+        span = Span(basis)
+        assert all(span.contains(u) for u in seeds)
+        assert all(span.contains(kG.algebra.mul(v, w)) for v in basis for w in basis)
 
 
 class TestCoenvelope:

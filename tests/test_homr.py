@@ -15,7 +15,6 @@ from mhopf.errors import CapabilityError
 from mhopf.groups import parse_group
 from mhopf.homr import (
     HomRElem,
-    check_antipode_from_inverse,
     check_conv_associative,
     check_conv_paths_agree,
     check_convolutive_inverse,
@@ -168,24 +167,3 @@ class TestConvolutiveInverse:
             check_convolutive_inverse(
                 stripped, M.antipode, lambda t: FinVec.basis(t), [M.algebra.basis[0]]
             )
-
-
-class TestAntipodeFromInverse:
-    def test_true_antipode_passes(self, AG_S3):
-        for res in check_antipode_from_inverse(AG_S3, AG_S3.antipode):
-            assert res.outcome == "pass", res.name
-
-    def test_identity_candidate_fails_identities(self, AG_S3):
-        results = check_antipode_from_inverse(AG_S3, lambda t: FinVec.basis(t))
-        by_name = {r.name: r for r in results}
-        # Pointwise functions commute, so the identity map is still an
-        # anti-homomorphism; only the antipode identities break.
-        assert by_name["candidate_antihomomorphism"].outcome == "pass"
-        assert by_name["antipode_identities"].outcome == "fail"
-
-    def test_antihomomorphism_detects_order(self, kG_S3):
-        results = check_antipode_from_inverse(kG_S3, lambda t: FinVec.basis(t))
-        by_name = {r.name: r for r in results}
-        # In the noncommutative group algebra the identity map fails the
-        # anti-homomorphism requirement itself.
-        assert by_name["candidate_antihomomorphism"].outcome == "fail"

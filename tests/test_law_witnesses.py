@@ -3,7 +3,8 @@ law batteries.
 
 No bundled scenario or failure snapshot makes `env_module_law`,
 `env_product_law`, `pi_a_projection`, the two projection identities of
-`check_a_projection` or `conv_associative` fail.  Each mutant below breaks
+`check_a_projection`, `conv_associative`, `action_product_law` or
+`symmetric_product_law` fail.  Each mutant below breaks
 some of them, and its full battery output (verdicts, witnesses in their
 order, details) is compared with the JSON under `data/law_witnesses`, so
 that a change to how a battery loops or caches cannot reorder or alter
@@ -26,6 +27,8 @@ from mhopf.partial_actions import (
     central_idempotent_projection,
     check_a_projection,
     check_enveloping,
+    check_partial_action,
+    check_symmetric,
     example_fN,
     global_AG_on_kG,
     globalize,
@@ -67,6 +70,19 @@ def collapsed_slice():
     return check_enveloping(G._replace(act=act))
 
 
+def doubled_token_act():
+    """One acting token acts twice as strongly: the product laws of both
+    handednesses fail, since that token is not the whole coproduct."""
+    P = example_fN(symmetric_group(3), alternating_elements(3))
+    a0 = P.acting_window()[1]
+
+    def act(a, t):
+        return P.act(a, t).scale(2) if a == a0 else P.act(a, t)
+
+    Q = P._replace(act=act)
+    return check_partial_action(Q) + check_symmetric(Q)
+
+
 def noncentral_projection():
     """Multiplication by a noncentral idempotent of kS3: both projection
     identities of `check_a_projection` fail."""
@@ -89,6 +105,7 @@ MUTANTS = {
     "doubled_act": doubled_act,
     "doubled_pi": doubled_pi,
     "collapsed_slice": collapsed_slice,
+    "doubled_token_act": doubled_token_act,
     "noncentral_projection": noncentral_projection,
 }
 
@@ -112,6 +129,8 @@ def test_skewed_convolution_matches_pin(monkeypatch):
     ("doubled_act", "env_module_law"),
     ("collapsed_slice", "env_product_law"),
     ("doubled_pi", "pi_a_projection"),
+    ("doubled_token_act", "action_product_law"),
+    ("doubled_token_act", "symmetric_product_law"),
     ("noncentral_projection", "a_projection_identity"),
     ("noncentral_projection", "symmetric_projection_identity"),
 ])

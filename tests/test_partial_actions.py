@@ -16,7 +16,6 @@ from mhopf.partial_actions import (
     check_symmetric,
     example_fN,
     global_AG_on_kG,
-    identity_projection,
     induce_from_projection,
     lambda_action,
     phi_embed,
@@ -134,8 +133,8 @@ class TestInducedAction:
         for res in check_a_projection(proj):
             assert res.outcome == "pass", (res.name, res.witnesses)
 
-    def test_identity_projection_gives_global_flag(self, evaluation):
-        proj = identity_projection(evaluation)
+    def test_unit_projection_gives_global_flag(self, evaluation):
+        proj = central_idempotent_projection(evaluation, evaluation.algebra.one)
         induced = induce_from_projection(proj)
         results = check_partial_action(induced)
         flag = {r.name: r for r in results}["global_characterization"]

@@ -1,0 +1,121 @@
+"""Contracts on the package source, checked on its syntax tree.
+
+Two lists are kept honest here.  The functions that may leave a law
+`inconclusive` are an allowlist, and README names each of them, so a new
+source of `inconclusive` (a budget, say) cannot slip in unannounced.  And
+every top-level `def` and `class` has a caller inside the package, an
+export in `mhopf/__init__.py`, or a named home on the ROADMAP, so code that
+nothing reaches fails here instead of lingering.
+"""
+
+import ast
+from pathlib import Path
+
+import mhopf
+
+SRC = Path(mhopf.__file__).resolve().parent
+README = SRC.parent.parent / "README.md"
+
+INCONCLUSIVE_SOURCES = {
+    ("mha", "check_regular"),
+    ("partial_actions", "indicator_verdict"),
+    ("partial_actions", "check_enveloping"),
+    ("coactions", "check_coglobalization"),
+}
+
+# Top-level names that nothing in the package reaches yet, each with the
+# ROADMAP item that gives it a use.
+ROADMAP_HOMES = {
+    "default_window": "item 1",
+    "check_nondegenerate": "item 1",
+    "check_s_unital_left": "item 1",
+    "central_idempotent_projection": "item 7",
+    "induce_from_projection": "item 7",
+    "mha_from_delta": "item 9",
+    "sweedler_cov": "item 9",
+    "check_associative": "item 11",
+}
+
+
+def modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def _is_checkresult(node, attr):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "CheckResult"
+    )
+
+
+def _leaves_inconclusive(call):
+    if _is_checkresult(call.func, "inconclusive"):
+        return True
+    return _is_checkresult(call.func, "law") and (
+        len(call.args) >= 3 or any(k.arg == "unresolved" for k in call.keywords))
+
+
+def inconclusive_sources():
+    found = set()
+    for module, tree in modules():
+        if module == "reports":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _leaves_inconclusive(node):
+                    found.add((module, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_inconclusive_sources_are_the_allowlist():
+    assert inconclusive_sources() == INCONCLUSIVE_SOURCES
+
+
+def test_readme_names_every_inconclusive_source():
+    text = README.read_text()
+    section = text.split("A check is `inconclusive` when:", 1)[1].split("\n## ", 1)[0]
+    missing = sorted(f"{m}.{f}" for m, f in INCONCLUSIVE_SOURCES if f"`{m}.{f}`" not in section)
+    assert missing == []
+
+
+def _used_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def definitions_and_uses():
+    """{top-level name: module} and every name used outside its own
+    definition, counting the imports of `mhopf/__init__.py` as uses."""
+    defined = {}
+    used = set()
+    for module, tree in modules():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(top.name, module)
+                used.update(n for n in _used_names(top) if n != top.name)
+            elif isinstance(top, ast.ImportFrom) and module == "__init__":
+                used.update(alias.name for alias in top.names)
+            else:
+                used.update(_used_names(top))
+    return defined, used
+
+
+def test_every_top_level_definition_is_reached():
+    defined, used = definitions_and_uses()
+    unreached = sorted(
+        f"{module}.{name}" for name, module in defined.items()
+        if name not in used and name not in ROADMAP_HOMES)
+    assert unreached == []
+
+
+def test_roadmap_homes_are_defined_and_unreached():
+    """A name leaves the allowlist once something reaches it or it goes."""
+    defined, used = definitions_and_uses()
+    assert sorted(set(ROADMAP_HOMES) - set(defined)) == []
+    assert sorted(set(ROADMAP_HOMES) & used) == []
