@@ -18,7 +18,7 @@ from .algebras import Algebra, local_unit
 from .errors import CapabilityError, NoLocalUnitError, StructuralError
 from .mha import MhaInstance
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, lincomb, linear, once_per_pair, token_key
+from .vectors import FinVec, bilinear, bilinear_sum, lincomb, linear, once_per_pair, token_key
 
 Rule = Callable[[object], FinVec]
 
@@ -62,7 +62,7 @@ class HomRElem:
         return hom_lincomb(self.source, self.target, ((self, 1), (other, 1)))
 
     def scale(self, c) -> "HomRElem":
-        return HomRElem(
+        return _summed(
             self.source, self.target,
             {g: v.scale(c) for g, v in self._table.items()},
         )
@@ -90,6 +90,17 @@ def hom_lincomb(source: MhaInstance, target: Algebra, pairs) -> HomRElem:
     ))
 
 
+def _summed(source: MhaInstance, target: Algebra, table: dict) -> HomRElem:
+    """The element whose table is `table`, which already holds one summed
+    value per group element.  Zero values are dropped; nothing is summed
+    again, and `source` is one that a `HomRElem` was already built on."""
+    out = HomRElem.__new__(HomRElem)
+    out.source = source
+    out.target = target
+    out._table = {g: v for g, v in table.items() if v}
+    return out
+
+
 def _same_spaces(F: HomRElem, G: HomRElem) -> None:
     if F.source is not G.source or F.target is not G.target:
         raise StructuralError("operands live over different source or target")
@@ -102,16 +113,24 @@ def support_indicator(F: HomRElem) -> FinVec:
 
 
 def conv_mul(F: HomRElem, G: HomRElem) -> HomRElem:
-    """Convolution product, closed group form (F*G)(c) = sum_{pq=c} F(p)G(q)."""
+    """Convolution product, closed group form (F*G)(c) = sum_{pq=c} F(p)G(q).
+
+    The (p, q) pairs of table entries are grouped by their group product
+    pq, and each group's sum of target products is accumulated at once by
+    `bilinear_sum` on the target's basis product: no target vector is
+    built per pair, and the finished table is not summed again."""
     _same_spaces(F, G)
     group = F.source.algebra.group
     if group is None:
         return conv_mul_generic(F, G)
-    return HomRElem(F.source, F.target, (
-        (group.mul(p, q), F.target.mul(fp, gq))
-        for p, fp in F._table.items()
-        for q, gq in G._table.items()
-    ))
+    by_product = {}
+    for p, fp in F._table.items():
+        for q, gq in G._table.items():
+            by_product.setdefault(group.mul(p, q), []).append((fp, gq))
+    mul_basis = F.target.mul_basis
+    return _summed(F.source, F.target, {
+        c: bilinear_sum(mul_basis, pairs) for c, pairs in by_product.items()
+    })
 
 
 def conv_mul_generic(F: HomRElem, G: HomRElem) -> HomRElem:
@@ -122,16 +141,17 @@ def conv_mul_generic(F: HomRElem, G: HomRElem) -> HomRElem:
     M = F.source
     piece = linear(lambda uw: F.target.mul(F.value(uw[0]), G.value(uw[1])))
     pairs = bilinear(M.t1_inv)(support_indicator(F), support_indicator(G))
-    return HomRElem(F.source, F.target, (
-        (p, piece(M.delta_r(p, q)).scale(coeff)) for (p, q), coeff in pairs.items()
-    ))
+    terms = {}
+    for (p, q), coeff in pairs.items():
+        terms.setdefault(p, []).append((piece(M.delta_r(p, q)), coeff))
+    return _summed(F.source, F.target, {p: lincomb(t) for p, t in terms.items()})
 
 
 def module_act(a, F: HomRElem) -> HomRElem:
     """a |> f(_b) = f(_ab); on tables (a |> F)(g) = a(g) F(g)."""
     if not isinstance(a, FinVec):
         a = FinVec.basis(a)
-    return HomRElem(
+    return _summed(
         F.source, F.target,
         {g: F.value(g).scale(a[g]) for g in F.support() if a[g] != 0},
     )

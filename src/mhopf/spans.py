@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .vectors import FinVec, as_scalar, token_key
+from .vectors import FinVec, as_scalar, axpy, token_key
 
 
 def collect_tokens(vecs: Iterable[FinVec]):
@@ -59,16 +59,6 @@ def kernel_of_map(domain_tokens, image: Callable[[object], FinVec]):
     return Span(image(t) for t in domain).kernel(domain)
 
 
-def _axpy(acc: dict, coeff, src: dict):
-    """acc -= coeff * src in place, dropping entries that cancel."""
-    for key, val in src.items():
-        new = acc.get(key, 0) - coeff * val
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
-
-
 class Span:
     """Sparse reduced echelon form of the span of the vectors added so far.
 
@@ -78,12 +68,17 @@ class Span:
     independent exactly when it is not in the span of the earlier ones, so
     the rows are spanned by the greedy-first independent vectors; every
     dependent vector is recorded as one kernel relation.
+
+    An occurrence index maps each token to the pivots of the rows that are
+    nonzero there, so a new row is back-substituted only into the rows
+    that hold its pivot, not into every row.
     """
 
-    __slots__ = ("_rows", "_deps", "_count")
+    __slots__ = ("_rows", "_occ", "_deps", "_count")
 
     def __init__(self, vecs: Iterable[FinVec] = ()):
         self._rows = {}  # pivot token -> (row, combination)
+        self._occ = {}  # token -> pivots of the rows nonzero at it
         self._deps = []
         self._count = 0
         for vec in vecs:
@@ -96,7 +91,7 @@ class Span:
         used = [(c, self._rows[t]) for t, c in vec.items() if t in self._rows]
         res = dict(vec.items())
         for c, (row, _) in used:
-            _axpy(res, c, row)
+            axpy(res, -c, row)
         return res, used
 
     def add(self, vec: FinVec) -> bool:
@@ -105,7 +100,7 @@ class Span:
         combo = {self._count: 1}
         self._count += 1
         for c, (_, row_combo) in used:
-            _axpy(combo, c, row_combo)
+            axpy(combo, -c, row_combo)
         if not res:
             self._deps.append(combo)
             return False
@@ -113,11 +108,31 @@ class Span:
         inv = as_scalar(Fraction(1) / res[pivot])
         row = {t: c * inv for t, c in res.items()}
         combo = {i: c * inv for i, c in combo.items()}
-        for other, other_combo in self._rows.values():
-            c = other.get(pivot)
-            if c:
-                _axpy(other, c, row)
-                _axpy(other_combo, c, combo)
+        occ = self._occ
+        # `row` is zero at every earlier pivot, so only the rows nonzero at
+        # the new pivot change.  This is `axpy` with the index kept up to
+        # date, which is why it is a loop of its own: it has to see each
+        # entry of `other` appear and cancel.  The entry at `pivot` cancels
+        # in every such row, which empties occ[pivot] before the new row's
+        # own entry goes in below.
+        for p in tuple(occ.get(pivot, ())):
+            other, other_combo = self._rows[p]
+            c = other[pivot]
+            for t, val in row.items():
+                old = other.get(t)
+                if old is None:
+                    other[t] = -c * val
+                    occ.setdefault(t, set()).add(p)
+                else:
+                    new = old - c * val
+                    if new:
+                        other[t] = new
+                    else:
+                        del other[t]
+                        occ[t].discard(p)
+            axpy(other_combo, -c, combo)
+        for t in row:
+            occ.setdefault(t, set()).add(pivot)
         self._rows[pivot] = (row, combo)
         return True
 

@@ -17,7 +17,10 @@ lists and report rendering.
 
 Every structure map in the package is a linear or bilinear rule on basis
 tokens; `linear` and `bilinear` extend such a rule to vectors, and
-`lincomb` is the accumulator they share.  `once_per_pair` is the one way
+`bilinear_sum` sums the bilinear extension over many pairs of vectors.
+`axpy`, acc += c * src on plain coefficient dicts, is the one in-place
+accumulator that `lincomb`, `linear`, `bilinear` and `bilinear_sum` (and
+the echelon rows of `spans.Span`) share.  `once_per_pair` is the one way
 to cache a rule on pairs of tokens.  Its hits hand out the same `FinVec`
 object again, which is safe because no code outside this module touches
 a vector's coefficient dict `_c`.
@@ -170,39 +173,66 @@ class FinVec:
         )
 
 
+def axpy(acc: dict, coeff, src: dict) -> None:
+    """acc += coeff * src in place, on plain token -> coefficient dicts.
+
+    An entry that cancels is deleted at once and a new token goes to the
+    end of `acc`, so `acc` never stores a zero and its order is the order
+    in which its tokens last appeared.  A zero `coeff` adds nothing."""
+    if not coeff:
+        return
+    for tok, val in src.items():
+        old = acc.get(tok)
+        if old is None:
+            acc[tok] = coeff * val
+        else:
+            new = old + coeff * val
+            if new:
+                acc[tok] = new
+            else:
+                del acc[tok]
+
+
 def lincomb(pairs: Iterable[tuple[FinVec, object]]) -> FinVec:
     """Sum of coeff * vec over (vec, coeff) pairs, accumulated in one dict.
 
-    A coefficient that cancels is deleted at once, so no zero is ever
-    stored and the result equals the fold `v1.scale(c1) + v2.scale(c2) + ...`.
+    The result equals the fold `v1.scale(c1) + v2.scale(c2) + ...`.
     """
     acc = {}
     for vec, coeff in pairs:
-        if not coeff:
-            continue
-        for tok, val in vec._c.items():
-            old = acc.get(tok)
-            if old is None:
-                acc[tok] = coeff * val
-            else:
-                new = old + coeff * val
-                if new:
-                    acc[tok] = new
-                else:
-                    del acc[tok]
+        axpy(acc, coeff, vec._c)
     return FinVec._of(acc)
 
 
 def linear(rule: Callable[[object], FinVec]) -> Callable[[FinVec], FinVec]:
     """Linear extension of a rule on basis tokens."""
-    return lambda x: lincomb((rule(t), c) for t, c in x._c.items())
+    def apply(x: FinVec) -> FinVec:
+        acc = {}
+        for t, c in x._c.items():
+            axpy(acc, c, rule(t)._c)
+        return FinVec._of(acc)
+
+    return apply
+
+
+def bilinear_sum(
+    rule: Callable[[object, object], FinVec],
+    pairs: Iterable[tuple[FinVec, FinVec]],
+) -> FinVec:
+    """Sum over (x, y) pairs of the bilinear extension of `rule` at (x, y),
+    accumulated in one dict: no vector is built per pair or per term."""
+    acc = {}
+    for x, y in pairs:
+        yc = y._c
+        for i, ci in x._c.items():
+            for j, cj in yc.items():
+                axpy(acc, ci * cj, rule(i, j)._c)
+    return FinVec._of(acc)
 
 
 def bilinear(rule: Callable[[object, object], FinVec]) -> Callable[[FinVec, FinVec], FinVec]:
     """Bilinear extension of a rule on pairs of basis tokens."""
-    return lambda x, y: lincomb(
-        (rule(i, j), ci * cj) for i, ci in x._c.items() for j, cj in y._c.items()
-    )
+    return lambda x, y: bilinear_sum(rule, ((x, y),))
 
 
 def once_per_pair(rule: Callable[[object, object], object]):

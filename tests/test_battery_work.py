@@ -5,7 +5,9 @@ outer acting token once per call, and projects per acting token only
 where `pi_a_projection`'s two products differ; `check_partial_action`
 and `check_symmetric` compute the inner product of their product laws
 once per (b, x, y); `check_conv_associative` computes each pair product
-once.  These counts pin that, so per-token
+once, and each product sums its target products straight into the
+finished table, with no `Algebra.mul` and no re-summing `HomRElem`
+constructor.  These counts pin that, so per-token
 work that comes back shows here as a number, not as a slower benchmark.
 """
 
@@ -15,7 +17,7 @@ from collections import Counter
 import pytest
 
 from mhopf import homr
-from mhopf.algebras import group_algebra_plain
+from mhopf.algebras import Algebra, group_algebra_plain
 from mhopf.groups import alternating_elements, cyclic_group, subgroup_elements, symmetric_group
 from mhopf.mha import instance_for
 from mhopf.partial_actions import (
@@ -83,10 +85,17 @@ def test_conv_associative_pair_products_once(monkeypatch):
         calls["conv_mul"] += 1
         return exact(F, G)
 
-    monkeypatch.setattr(homr, "conv_mul", conv_mul)
     S3 = symmetric_group(3)
     samples = _random_hom_samples(
         random.Random(5), instance_for("A_G", S3), group_algebra_plain(S3), 5)
+    monkeypatch.setattr(homr, "conv_mul", conv_mul)
+    for owner, name in ((Algebra, "mul"), (homr.HomRElem, "__init__")):
+        def counted(*args, _inner=getattr(owner, name), _key=f"{owner.__name__}.{name}"):
+            calls[_key] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
     assert homr.check_conv_associative(samples).outcome == "pass"
-    # 25 pair products, then two products per triple
-    assert calls["conv_mul"] == 25 + 2 * 125
+    # 25 pair products, then two products per triple; none of them builds
+    # a target product per table pair or sums its table a second time
+    assert dict(calls) == {"conv_mul": 25 + 2 * 125}

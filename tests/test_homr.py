@@ -88,6 +88,37 @@ class TestConvolution:
             assert conv_mul(z, f).is_zero()
 
 
+@pytest.mark.parametrize("spec, seed", [("symmetric:3", 3), ("cyclic:4", 8)])
+def test_conv_mul_matches_the_oracle(spec, seed):
+    group = parse_group(spec)
+    source, target = instance_for("A_G", group), group_algebra_plain(group)
+    samples = _random_hom_samples(random.Random(seed), source, target, 6)
+    for f in samples:
+        for g in samples:
+            got, want = conv_mul(f, g), conv_oracle(group, target, f, g)
+            assert got == want
+            assert got.support() == want.support()
+            assert got.is_zero() == want.is_zero()
+
+
+def test_conv_mul_drops_a_group_element_whose_terms_cancel(C4):
+    source, target = instance_for("A_G", C4), group_algebra_plain(C4)
+    u, v = FinVec.basis(1), FinVec.basis(3)
+    f = HomRElem(source, target, {0: u, 1: u})
+    # at 1 = 0 + 1 = 1 + 0 the two terms u*v and -u*v cancel
+    g = HomRElem(source, target, {1: v, 0: -v})
+    prod = conv_mul(f, g)
+    assert prod.support() == [0, 2]
+    assert prod.value(1) == FinVec()
+    assert not prod.is_zero()
+    assert prod == conv_oracle(C4, target, f, g)
+    # every group element cancels: the product is zero
+    h = HomRElem(source, target, {0: v, 2: -v})
+    zero = conv_mul(HomRElem(source, target, {0: u, 2: u}), h)
+    assert zero.is_zero() and zero.support() == []
+    assert zero == HomRElem(source, target)
+
+
 class TestModuleStructure:
     def test_action_scales_tables_pointwise(self, hom_space, samples, S3):
         source, target = hom_space

@@ -17,7 +17,7 @@ from mhopf.algebras import (
     tensor_square_algebra,
 )
 from mhopf.errors import StructuralError
-from mhopf.groups import parse_group
+from mhopf.groups import parse_group, symmetric_group
 from mhopf.mha import (
     check_counit_homomorphism,
     check_mha_axioms,
@@ -335,6 +335,14 @@ class TestRegularOnPartialWindows:
             {"map": "flip_r", "kernel": FinVec({(e, t): -1, (t, e): 1})},
             {"map": "flip_r", "kernel": FinVec({(e, s): -1, (s, e): 1})},
         ]
+
+
+def test_check_regular_passes_on_S5():
+    """Order 120: each flipped coverage is a Span of 14,400 images, which
+    the occurrence index keeps to about a second."""
+    res = check_regular(instance_for("A_G", symmetric_group(5)))
+    assert res.outcome == "pass"
+    assert res.details == {"window": 120}
 
 
 @pytest.mark.parametrize("kind", ["A_G", "kG"])

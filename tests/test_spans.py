@@ -155,6 +155,25 @@ def test_greedy_add_keeps_the_greedy_independent_items(vecs):
     assert kept == greedy_reference(items)
 
 
+@SETTINGS
+@given(vec_lists())
+def test_occurrence_index_names_exactly_the_rows_nonzero_at_each_token(vecs):
+    """After every add, the index maps each token to the pivots of the
+    rows that hold it, the new pivot's own row included, and each row is
+    1 at its pivot and 0 at every other pivot."""
+    span = spans.Span()
+    for vec in vecs:
+        span.add(vec)
+        rows = {p: row for p, (row, _) in span._rows.items()}
+        held = {}
+        for p, row in rows.items():
+            assert row[p] == 1
+            assert all(q == p or q not in row for q in rows)
+            for t in row:
+                held.setdefault(t, set()).add(p)
+        assert {t: ps for t, ps in span._occ.items() if ps} == held
+
+
 def test_empty_span():
     span = spans.Span()
     assert span.rank == 0

@@ -13,7 +13,9 @@ from mhopf.vectors import (
     FinVec,
     LinearMapTable,
     as_scalar,
+    axpy,
     bilinear,
+    bilinear_sum,
     lincomb,
     linear,
     once_per_pair,
@@ -109,6 +111,32 @@ def test_bilinear_matches_the_double_loop(x, y):
     assert linear(lambda i: overlapping_rule(i, i))(x) == fold(
         (overlapping_rule(i, i), c) for i, c in x.items()
     )
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.tuples(vectors, vectors), max_size=4))
+def test_bilinear_sum_matches_the_lincomb_of_bilinear(pairs):
+    product = bilinear(overlapping_rule)
+    got = bilinear_sum(overlapping_rule, pairs)
+    assert got == lincomb((product(x, y), 1) for x, y in pairs)
+    assert all(c != 0 for _, c in got.items())
+    # each pair followed by its negative: every term cancels
+    cancelled = bilinear_sum(overlapping_rule, pairs + [(-x, y) for x, y in pairs])
+    assert cancelled == FinVec() and len(cancelled) == 0
+
+
+def test_bilinear_sum_of_no_pairs_is_zero():
+    assert bilinear_sum(overlapping_rule, []) == FinVec()
+    assert bilinear_sum(overlapping_rule, iter(())).is_zero()
+
+
+def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
+    acc = {"a": 1, "b": Fraction(1, 2)}
+    axpy(acc, 2, {"b": Fraction(-1, 4), "c": 3})
+    assert acc == {"a": 1, "c": 6}
+    assert list(acc) == ["a", "c"]
+    axpy(acc, 0, {"a": 5})
+    assert acc == {"a": 1, "c": 6}
 
 
 def test_map_tokens():
