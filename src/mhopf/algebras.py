@@ -20,7 +20,16 @@ from . import spans
 from .errors import CapabilityError, NoLocalUnitError, StructuralError, WindowError
 from .groups import GroupSpec
 from .reports import CheckResult
-from .vectors import FinVec, LinearMapTable, bilinear, lincomb, once_per_pair, tensor, token_key
+from .vectors import (
+    FinVec,
+    LinearMapTable,
+    bilinear,
+    graded_mul,
+    lincomb,
+    once_per_pair,
+    tensor,
+    token_key,
+)
 
 
 def pick_window(window, default: Callable[[], tuple]) -> tuple:
@@ -132,12 +141,12 @@ def tensor_square_algebra(left: Algebra, right: Algebra, right_window=None) -> A
     )
 
 
-def convolution_algebra(group: GroupSpec, target: Algebra, window=None) -> Algebra:
+def convolution_algebra(group: GroupSpec, target: Algebra) -> Algebra:
     """Finitely supported maps group -> target under group convolution.
 
     Basis token (g, l): the map sending g to basis element l.  Product
-    (g, l) * (h, m) = (g h, l m expanded in the target), computed once per
-    ordered pair.
+    (g, l) * (h, m) = (g h, l m expanded in the target) by
+    `vectors.graded_mul`, computed once per ordered pair.
     """
     basis = None
     if group.elements is not None and target.basis is not None:
@@ -148,9 +157,7 @@ def convolution_algebra(group: GroupSpec, target: Algebra, window=None) -> Algeb
         )
 
     def mul_basis(p, q):
-        (g, l), (h, m) = p, q
-        gh = group.mul(g, h)
-        return target.mul_basis(l, m).map_tokens(lambda t: (gh, t))
+        return graded_mul(group.mul, target.mul_basis, FinVec.basis(p), FinVec.basis(q))
 
     return Algebra(
         name=f"conv({group.name},{target.name})",
@@ -394,16 +401,15 @@ class Corner:
     the two embedded tokens, computed once per ordered pair.
     """
 
-    def __init__(self, ambient: Algebra, idem: FinVec, name=None, require_central=True):
+    def __init__(self, ambient: Algebra, idem: FinVec, name=None):
         if ambient.basis is None:
             raise CapabilityError("corner construction needs a finite ambient")
         if ambient.mul(idem, idem) != idem:
             raise StructuralError("corner projector is not idempotent")
-        if require_central:
-            for b in ambient.basis:
-                bv = FinVec.basis(b)
-                if ambient.mul(idem, bv) != ambient.mul(bv, idem):
-                    raise StructuralError("corner projector is not central")
+        for b in ambient.basis:
+            bv = FinVec.basis(b)
+            if ambient.mul(idem, bv) != ambient.mul(bv, idem):
+                raise StructuralError("corner projector is not central")
         self.ambient = ambient
         self.idem = idem
         # one Span over the f-images of the whole ambient basis: the scan

@@ -44,10 +44,10 @@ from .algebras import (
 )
 from .errors import CapabilityError, StructuralError
 from .groups import GroupSpec, closure, is_normal
-from .homr import HomRElem
+from .homr import module_act, require_tables
 from .mha import MhaInstance, function_algebra
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, lincomb, linear, once_per_pair, token_key
+from .vectors import FinVec, bilinear, from_grades, lincomb, linear, once_per_pair, token_key
 
 ActRule = Callable[[object, object], FinVec]
 
@@ -337,7 +337,7 @@ def example_fN(group: GroupSpec, subgroup) -> PartialActionData:
         raise StructuralError("subgroup is not normal")
     kG = group_algebra_plain(group)
     f = subgroup_average_idempotent(kG, N)
-    corner = Corner(kG, f, name=f"corner:{group.name}", require_central=True)
+    corner = Corner(kG, f, name=f"corner:{group.name}")
     n = Fraction(1, len(N))
     nset = set(N)
     rep = {}
@@ -668,9 +668,10 @@ def check_quasi_unitary(P: PartialActionData, elems, a_window=None,
         "subset lattice of the full basis exhausted without witness")
 
 
-def phi_embed(P: PartialActionData, x, witness=None, a_window=None) -> HomRElem:
+def phi_embed(P: PartialActionData, x, witness=None, a_window=None) -> FinVec:
     """theta(x): the finitely supported table g |-> delta_g . x, supported
-    inside any quasi-unit witness for x."""
+    inside any quasi-unit witness for x, as a vector on (g, t) tokens."""
+    require_tables(P.instance)
     if not isinstance(x, FinVec):
         x = FinVec.basis(x)
     if witness is None:
@@ -680,16 +681,14 @@ def phi_embed(P: PartialActionData, x, witness=None, a_window=None) -> HomRElem:
                 "quasi-unit witness search "
                 + ("exhausted" if exhausted else "capped")
                 + "; embedding is inconclusive")
-    table = {}
-    for g in witness.support():
-        table[g] = P.act_vec(FinVec.basis(g), x)
-    return HomRElem(P.instance, P.algebra, table)
+    return from_grades({g: P.act_vec(FinVec.basis(g), x) for g in witness.support()})
 
 
 def globalize(P: PartialActionData, a_window=None) -> Globalization:
     """Standard envelope: translates of the table embedding inside the
-    convolution algebra of target-valued functions.  The input is taken to
-    be a symmetric partial action; nothing here checks that."""
+    convolution algebra of target-valued functions, acted on by
+    `homr.module_act`.  The input is taken to be a symmetric partial
+    action; nothing here checks that."""
     group = P.instance.algebra.group
     if group is None or not group.is_finite():
         raise CapabilityError("standard envelope needs a finite acting group")
@@ -697,15 +696,7 @@ def globalize(P: PartialActionData, a_window=None) -> Globalization:
         raise CapabilityError("standard envelope needs a finite target basis")
     aw = tuple(P.acting_window(a_window))
     env = convolution_algebra(group, P.algebra)
-
-    theta_map = {}
-    for x in P.algebra.basis:
-        F = phi_embed(P, x, a_window=aw)
-        theta_map[x] = FinVec(((g, t), c) for g, val in F.items() for t, c in val.items())
-
-    def act(a, tok):
-        g, t = tok
-        return FinVec.basis(tok) if a == g else FinVec()
+    theta_map = {x: phi_embed(P, x, a_window=aw) for x in P.algebra.basis}
 
     pi_rule = linear(lambda tok: FinVec.basis(tok[1]))
 
@@ -714,15 +705,13 @@ def globalize(P: PartialActionData, a_window=None) -> Globalization:
     for a in aw:
         for x in P.algebra.basis:
             labels.append((a, x))
-            translated = FinVec(
-                (tok, c) for tok, c in theta_map[x].items() if tok[0] == a)
-            gens.append(translated)
+            gens.append(bilinear(module_act)(FinVec.basis(a), theta_map[x]))
 
     return Globalization(
         name=f"envelope:{P.name}",
         action=P,
         algebra=env,
-        act=act,
+        act=module_act,
         theta_map=theta_map,
         pi_rule=pi_rule,
         generators=tuple(gens),
@@ -917,12 +906,12 @@ def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
     return results
 
 
-def check_minimal(G: Globalization, battery=None, a_window=None) -> CheckResult:
+def check_minimal(G: Globalization, a_window=None) -> CheckResult:
     """pi must detect every nonzero element of each cyclic submodule: if
-    pi kills all translates of v, then v = 0."""
+    pi kills all translates of v, then v = 0, for v a generator or an
+    embedded basis element."""
     aw = G.acting_window(a_window)
-    if battery is None:
-        battery = list(G.generators) + [G.theta_map[x] for x in G.action.algebra.basis]
+    battery = list(G.generators) + [G.theta_map[x] for x in G.action.algebra.basis]
     witnesses = []
     for v in battery:
         if v.is_zero():

@@ -39,7 +39,6 @@ from .algebras import (
 )
 from .errors import MhopfError, StructuralError
 from .groups import GroupSpec, parse_group, subgroup_elements
-from .homr import HomRElem
 from .reports import CheckResult, Report
 from .vectors import FinVec, linear, token_key
 
@@ -259,20 +258,19 @@ STRUCTURES = {
 
 
 def _random_hom_samples(rng, source, target, count):
+    """`count` random homomorphism tables, vectors on (g, t) tokens with at
+    most three group elements and two target tokens each."""
+    homr.require_tables(source)
     toks = sorted(source.algebra.basis, key=str)
     ttoks = sorted(target.basis, key=str)
-    out = []
-    for _ in range(count):
-        table = {}
-        for g in rng.sample(toks, k=min(3, len(toks))):
-            vec = FinVec(
-                (t, rng.randint(-4, 4))
-                for t in rng.sample(ttoks, k=min(2, len(ttoks)))
-            )
-            if vec:
-                table[g] = vec
-        out.append(HomRElem(source, target, table))
-    return out
+    return [
+        FinVec(
+            ((g, t), rng.randint(-4, 4))
+            for g in rng.sample(toks, k=min(3, len(toks)))
+            for t in rng.sample(ttoks, k=min(2, len(ttoks)))
+        )
+        for _ in range(count)
+    ]
 
 
 def _chk_mha_axioms(ctx, entry, window, rng):
@@ -284,8 +282,8 @@ def _chk_convolution(ctx, entry, window, rng):
     target = ctx.get(entry["target_algebra"], Algebra) if "target_algebra" in entry else group_algebra_plain(source.algebra.group)
     samples = _random_hom_samples(rng, source, target, entry.get("samples", 5))
     return [
-        homr.check_conv_associative(samples),
-        homr.check_conv_paths_agree(samples),
+        homr.check_conv_associative(source, target, samples),
+        homr.check_conv_paths_agree(source, target, samples),
     ]
 
 

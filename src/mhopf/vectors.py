@@ -18,7 +18,9 @@ lists and report rendering.
 Every structure map in the package is a linear or bilinear rule on basis
 tokens; `linear` and `bilinear` extend such a rule to vectors, and
 `bilinear_sum` sums the bilinear extension over many pairs of vectors.
-`axpy`, acc += c * src on plain coefficient dicts, is the one in-place
+`graded_mul` is the one group-graded product (g, l)(h, m) = (gh, lm) of
+the convolution algebras, on vectors over graded tokens (g, l).  `axpy`,
+acc += c * src on plain coefficient dicts, is the one in-place
 accumulator that `lincomb`, `linear`, `bilinear` and `bilinear_sum` (and
 the echelon rows of `spans.Span`) share.  `once_per_pair` is the one way
 to cache a rule on pairs of tokens.  Its hits hand out the same `FinVec`
@@ -233,6 +235,65 @@ def bilinear_sum(
 def bilinear(rule: Callable[[object, object], FinVec]) -> Callable[[FinVec, FinVec], FinVec]:
     """Bilinear extension of a rule on pairs of basis tokens."""
     return lambda x, y: bilinear_sum(rule, ((x, y),))
+
+
+def graded_mul(
+    group_mul: Callable[[object, object], object],
+    mul_basis: Callable[[object, object], FinVec],
+    x: FinVec,
+    y: FinVec,
+) -> FinVec:
+    """Product of vectors over graded tokens (g, l) under the rule
+    (g, l)(h, m) = (gh, lm), with lm expanded by `mul_basis`.
+
+    Each factor is split by its first slots.  The target products of each
+    pair of first slots (g, h) are accumulated, by `bilinear_sum`'s loop
+    on the split coefficient dicts, into one dict per group product
+    c = gh keyed by target token t alone, so that no vector is built per
+    pair and each token (c, t) of the result is built once."""
+    accs = {}
+    y_grades = _grades(y._c).items()
+    for g, xc in _grades(x._c).items():
+        for h, yc in y_grades:
+            c = group_mul(g, h)
+            acc = accs.get(c)
+            if acc is None:
+                acc = accs[c] = {}
+            for l, cl in xc.items():
+                for m, cm in yc.items():
+                    axpy(acc, cl * cm, mul_basis(l, m)._c)
+    out = {}
+    for c, acc in accs.items():
+        for t, v in acc.items():
+            out[c, t] = v
+    return FinVec._of(out)
+
+
+def grades(x: FinVec) -> dict:
+    """The nonzero vectors x_g with x = sum of x_g[l] (g, l), one per
+    first slot g of a graded token (g, l)."""
+    return {g: FinVec._of(part) for g, part in _grades(x._c).items()}
+
+
+def _grades(coeffs: dict) -> dict:
+    parts = {}
+    for (g, l), c in coeffs.items():
+        part = parts.get(g)
+        if part is None:
+            parts[g] = {l: c}
+        else:
+            part[l] = c
+    return parts
+
+
+def from_grades(parts: dict) -> FinVec:
+    """The sum of x_g[l] (g, l) over the items (g, x_g) of `parts`: the
+    inverse of `grades`."""
+    out = {}
+    for g, xg in parts.items():
+        for l, c in xg._c.items():
+            out[g, l] = c
+    return FinVec._of(out)
 
 
 def once_per_pair(rule: Callable[[object, object], object]):

@@ -92,8 +92,8 @@ def test_primary_2_convolution_algebra():
     source = instance_for("A_G", S3)
     target = group_algebra_plain(S3)
     samples = _random_hom_samples(random.Random(11), source, target, 5)
-    assoc = check_conv_associative(samples)
-    paths = check_conv_paths_agree(samples)
+    assoc = check_conv_associative(source, target, samples)
+    paths = check_conv_paths_agree(source, target, samples)
     module = check_module_algebra(source, target, samples=samples)
     ok = (assoc.outcome == "pass" and assoc.details["triples"] >= 100
           and paths.outcome == "pass" and all_pass(module))

@@ -5,7 +5,9 @@ failing and inconclusive lines the goldens miss: a junk envelope (minimality,
 comparison and envelope battery), coaction mutants on C4 (coenvelope with an
 identity projection, a dropped coaction term, a non-counitary element), the
 group-side failures (a wrong convolutive inverse, the zero-corner partial
-group action), and the S3 partial action checked on a one-token window.
+group action), the S3 partial action checked on a one-token window, and
+`mha_axioms` on kC6 over a two-token window, where `regular` is
+``inconclusive`` because a preimage may lie outside the window.
 
 ``windowed_fN_S3`` pins today's windowed verdicts, including false failures:
 on a partial window the existence and span laws (``e_left_compatibility``,

@@ -1,20 +1,23 @@
 """Convolution algebra of collapsed homomorphism tables.
 
-The convolution oracle below recomputes (F*G)(c) with a full double loop
-over the group, independent of the support-indexed closed form and of the
-coverage-based generic path.
+A table is a vector on (g, t) tokens of `convolution_algebra`.  The
+convolution oracle below recomputes (F*G)(c) with a full double loop over
+the group, independent of the graded rule and of the coverage-based
+generic path.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from mhopf.algebras import group_algebra_plain
+from mhopf import cli, homr
+from mhopf.algebras import convolution_algebra, group_algebra_plain
 from mhopf.errors import CapabilityError
+from mhopf.group_actions import subset_translation_pga, to_hopf
 from mhopf.groups import parse_group
 from mhopf.homr import (
-    HomRElem,
     check_conv_associative,
     check_conv_paths_agree,
     check_convolutive_inverse,
@@ -24,26 +27,23 @@ from mhopf.homr import (
     module_act,
 )
 from mhopf.mha import instance_for
+from mhopf.partial_actions import globalize
 from mhopf.scenarios import _random_hom_samples
-from mhopf.vectors import FinVec
+from mhopf.vectors import FinVec, bilinear, from_grades, grades
 
 F = Fraction
 
 
-def zero_act(a, F: HomRElem) -> HomRElem:
-    """Degenerate action used by fail fixtures."""
-    return HomRElem(F.source, F.target)
-
-
 def conv_oracle(group, target, f, g):
     """(F*G)(c) = sum over all p, q with pq = c, no support shortcuts."""
-    table = {}
+    fg, gg = grades(f), grades(g)
+    out = {}
     for p in group.elements:
         for q in group.elements:
             c = group.mul(p, q)
-            val = target.mul(f.value(p), g.value(q))
-            table[c] = table.get(c, FinVec()) + val
-    return HomRElem(f.source, f.target, table)
+            val = target.mul(fg.get(p, FinVec()), gg.get(q, FinVec()))
+            out[c] = out.get(c, FinVec()) + val
+    return from_grades(out)
 
 
 @pytest.fixture(scope="module")
@@ -65,27 +65,27 @@ class TestConvolution:
         source, target = hom_space
         for f in samples:
             for g in samples:
-                assert conv_mul(f, g) == conv_oracle(S3, target, f, g)
+                assert conv_mul(source, target, f, g) == conv_oracle(S3, target, f, g)
 
-    def test_generic_coverage_path_matches_closed(self, samples):
-        res = check_conv_paths_agree(samples)
+    def test_generic_coverage_path_matches_closed(self, hom_space, samples):
+        source, target = hom_space
+        res = check_conv_paths_agree(source, target, samples)
         assert res.outcome == "pass"
         for f in samples:
             for g in samples:
-                assert conv_mul_generic(f, g) == conv_mul(f, g)
+                assert conv_mul_generic(source, target, f, g) == conv_mul(source, target, f, g)
 
-    def test_associative_on_125_random_triples(self, samples):
+    def test_associative_on_125_random_triples(self, hom_space, samples):
         assert len(samples) ** 3 >= 100
-        res = check_conv_associative(samples)
+        res = check_conv_associative(*hom_space, samples)
         assert res.outcome == "pass"
         assert res.details["triples"] == 125
 
     def test_zero_is_absorbing(self, hom_space, samples):
-        source, target = hom_space
-        z = HomRElem(source, target)
+        z = FinVec()
         for f in samples:
-            assert conv_mul(f, z).is_zero()
-            assert conv_mul(z, f).is_zero()
+            assert conv_mul(*hom_space, f, z).is_zero()
+            assert conv_mul(*hom_space, z, f).is_zero()
 
 
 @pytest.mark.parametrize("spec, seed", [("symmetric:3", 3), ("cyclic:4", 8)])
@@ -95,48 +95,62 @@ def test_conv_mul_matches_the_oracle(spec, seed):
     samples = _random_hom_samples(random.Random(seed), source, target, 6)
     for f in samples:
         for g in samples:
-            got, want = conv_mul(f, g), conv_oracle(group, target, f, g)
+            got, want = conv_mul(source, target, f, g), conv_oracle(group, target, f, g)
             assert got == want
             assert got.support() == want.support()
             assert got.is_zero() == want.is_zero()
 
 
+@pytest.mark.parametrize("spec, seed", [("symmetric:3", 3), ("cyclic:4", 8)])
+def test_envelope_product_is_the_certified_product(spec, seed):
+    # the envelope multiplies with convolution_algebra's `mul`, the
+    # `convolution` check certifies `conv_mul` against `conv_mul_generic`
+    group = parse_group(spec)
+    source, target = instance_for("A_G", group), group_algebra_plain(group)
+    env = convolution_algebra(group, target)
+    samples = _random_hom_samples(random.Random(seed), source, target, 6)
+    for f in samples:
+        for g in samples:
+            closed = conv_mul(source, target, f, g)
+            assert env.mul(f, g) == closed
+            assert conv_mul_generic(source, target, f, g) == closed
+
+
 def test_conv_mul_drops_a_group_element_whose_terms_cancel(C4):
     source, target = instance_for("A_G", C4), group_algebra_plain(C4)
     u, v = FinVec.basis(1), FinVec.basis(3)
-    f = HomRElem(source, target, {0: u, 1: u})
+    f = from_grades({0: u, 1: u})
     # at 1 = 0 + 1 = 1 + 0 the two terms u*v and -u*v cancel
-    g = HomRElem(source, target, {1: v, 0: -v})
-    prod = conv_mul(f, g)
-    assert prod.support() == [0, 2]
-    assert prod.value(1) == FinVec()
+    g = from_grades({1: v, 0: -v})
+    prod = conv_mul(source, target, f, g)
+    assert sorted(grades(prod)) == [0, 2]
     assert not prod.is_zero()
     assert prod == conv_oracle(C4, target, f, g)
     # every group element cancels: the product is zero
-    h = HomRElem(source, target, {0: v, 2: -v})
-    zero = conv_mul(HomRElem(source, target, {0: u, 2: u}), h)
-    assert zero.is_zero() and zero.support() == []
-    assert zero == HomRElem(source, target)
+    h = from_grades({0: v, 2: -v})
+    zero = conv_mul(source, target, from_grades({0: u, 2: u}), h)
+    assert zero.is_zero() and zero.support() == ()
+    assert zero == FinVec()
 
 
 class TestModuleStructure:
-    def test_action_scales_tables_pointwise(self, hom_space, samples, S3):
-        source, target = hom_space
+    def test_action_scales_tables_pointwise(self, samples, S3):
         for f in samples:
             for g in S3.elements:
-                acted = module_act(g, f)
+                acted = grades(bilinear(module_act)(FinVec.basis(g), f))
                 for h in S3.elements:
-                    want = f.value(h) if h == g else FinVec()
-                    assert acted.value(h) == want
+                    want = grades(f).get(h, FinVec()) if h == g else FinVec()
+                    assert acted.get(h, FinVec()) == want
 
     def test_module_algebra_battery(self, hom_space, samples):
         source, target = hom_space
         for res in check_module_algebra(source, target, samples=samples):
             assert res.outcome == "pass", (res.name, res.witnesses)
 
-    def test_degenerate_action_fails_battery(self, hom_space, samples):
+    def test_degenerate_action_fails_battery(self, hom_space, samples, monkeypatch):
         source, target = hom_space
-        results = check_module_algebra(source, target, samples=samples, act=zero_act)
+        monkeypatch.setattr(homr, "module_act", lambda a, tok: FinVec())
+        results = check_module_algebra(source, target, samples=samples)
         assert any(r.outcome == "fail" for r in results)
 
 
@@ -198,3 +212,31 @@ class TestConvolutiveInverse:
             check_convolutive_inverse(
                 stripped, M.antipode, lambda t: FinVec.basis(t), [M.algebra.basis[0]]
             )
+
+
+NOT_FINITE = "does not collapse right multiplications to finite tables"
+
+
+def test_convolution_on_a_kG_source_exits_3(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "name": "conv_kG_C4",
+        "seed": 0,
+        "structures": [
+            {"id": "G", "type": "group", "spec": "cyclic:4"},
+            {"id": "M", "type": "instance", "kind": "kG", "group": "G"},
+        ],
+        "checks": [{"check": "convolution", "source": "M"}],
+    }
+    path = tmp_path / "conv_kG_C4.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert NOT_FINITE in captured.err
+
+
+def test_globalize_rejects_a_to_hopf_action(C4):
+    Q = to_hopf(subset_translation_pga(C4, (0, 1)))
+    with pytest.raises(CapabilityError, match=NOT_FINITE):
+        globalize(Q)

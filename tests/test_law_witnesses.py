@@ -94,11 +94,11 @@ def noncentral_projection():
 def skewed_convolution(monkeypatch):
     """F * G replaced by F * G + F, which is not associative."""
     exact = homr.conv_mul
-    monkeypatch.setattr(homr, "conv_mul", lambda F, G: exact(F, G) + F)
+    monkeypatch.setattr(homr, "conv_mul", lambda M, R, F, G: exact(M, R, F, G) + F)
     S3 = symmetric_group(3)
-    samples = _random_hom_samples(
-        random.Random(5), instance_for("A_G", S3), group_algebra_plain(S3), 5)
-    return [homr.check_conv_associative(samples)]
+    source, target = instance_for("A_G", S3), group_algebra_plain(S3)
+    samples = _random_hom_samples(random.Random(5), source, target, 5)
+    return [homr.check_conv_associative(source, target, samples)]
 
 
 MUTANTS = {

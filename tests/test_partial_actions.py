@@ -21,7 +21,7 @@ from mhopf.partial_actions import (
     phi_embed,
     quasi_unitary_witness,
 )
-from mhopf.vectors import FinVec
+from mhopf.vectors import FinVec, grades
 
 F = Fraction
 
@@ -91,11 +91,11 @@ class TestCornerAction:
     def test_phi_embed_tables(self, corner_action, S3):
         P = corner_action
         x = FinVec.basis(P.algebra.basis[0])
-        emb = phi_embed(P, x)
-        for g in emb.support():
-            assert emb.value(g) == P.act_vec(FinVec.basis(g), x)
+        emb = grades(phi_embed(P, x))
+        for g, value in emb.items():
+            assert value == P.act_vec(FinVec.basis(g), x)
         witness, _ = quasi_unitary_witness(P, [x])
-        assert set(emb.support()) <= set(witness.support())
+        assert set(emb) <= set(witness.support())
 
 
 class TestInducedAction:

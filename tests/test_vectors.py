@@ -16,6 +16,9 @@ from mhopf.vectors import (
     axpy,
     bilinear,
     bilinear_sum,
+    from_grades,
+    graded_mul,
+    grades,
     lincomb,
     linear,
     once_per_pair,
@@ -128,6 +131,27 @@ def test_bilinear_sum_matches_the_lincomb_of_bilinear(pairs):
 def test_bilinear_sum_of_no_pairs_is_zero():
     assert bilinear_sum(overlapping_rule, []) == FinVec()
     assert bilinear_sum(overlapping_rule, iter(())).is_zero()
+
+
+graded_vectors = st.dictionaries(
+    st.tuples(st.integers(0, 2), tokens), coeffs, max_size=6).map(FinVec)
+
+
+@settings(deadline=None, derandomize=True)
+@given(graded_vectors, graded_vectors)
+def test_graded_mul_is_the_bilinear_extension_of_the_graded_rule(x, y):
+    # first slots multiply in Z/3, second slots by `overlapping_rule`
+    def add3(g, h):
+        return (g + h) % 3
+
+    def rule(p, q):
+        return overlapping_rule(p[1], q[1]).map_tokens(lambda t: (add3(p[0], q[0]), t))
+
+    got = graded_mul(add3, overlapping_rule, x, y)
+    assert got == bilinear(rule)(x, y)
+    assert all(c != 0 for _, c in got.items())
+    assert from_grades(grades(x)) == x
+    assert all(part for part in grades(x).values())
 
 
 def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
