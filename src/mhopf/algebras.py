@@ -317,16 +317,6 @@ class Multiplier:
     def apply_right(self, vec: FinVec) -> FinVec:
         return self.right.apply(vec)
 
-    def equal_on_window(self, other: "Multiplier") -> bool:
-        return self.left.equal_on_window(other.left) and self.right.equal_on_window(
-            other.right
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Multiplier) and self.equal_on_window(other)
-
-    __hash__ = None
-
 
 def multiplier_check(m: Multiplier, window=None) -> CheckResult:
     """Compatibility laws V(a)b = aU(b), U(ab) = U(a)b, V(ab) = aV(b) on
@@ -362,22 +352,6 @@ def multiplier_check(m: Multiplier, window=None) -> CheckResult:
     return CheckResult.law("multiplier_compat", witnesses, window=len(window))
 
 
-def multiplier_product(m1: Multiplier, m2: Multiplier) -> Multiplier:
-    """(U1 o U2, V2 o V1) on the intersection window."""
-    if m1.algebra is not m2.algebra and m1.algebra.name != m2.algebra.name:
-        raise StructuralError("multipliers over different algebras")
-    window = m1.window & m2.window
-    if not window:
-        raise WindowError("empty intersection window for multiplier product")
-    left = LinearMapTable(
-        {b: m1.apply_left(m2.apply_left(FinVec.basis(b))) for b in window}, window
-    )
-    right = LinearMapTable(
-        {b: m2.apply_right(m1.apply_right(FinVec.basis(b))) for b in window}, window
-    )
-    return Multiplier(m1.algebra, left, right)
-
-
 def is_central_multiplier(m: Multiplier, window=None) -> bool:
     """Central in M(A): left and right actions agree (given compat laws)."""
     window = tuple(window) if window is not None else tuple(m.window)
@@ -388,7 +362,15 @@ def is_central_multiplier(m: Multiplier, window=None) -> bool:
 
 
 def is_idempotent_multiplier(m: Multiplier) -> bool:
-    return multiplier_product(m, m).equal_on_window(m)
+    """m m = m in M(A): applying m twice to each window token gives what
+    applying it once gives, on both sides."""
+    for b in m.window:
+        bv = FinVec.basis(b)
+        for side in (m.apply_left, m.apply_right):
+            once = side(bv)
+            if side(once) != once:
+                return False
+    return True
 
 
 class Corner:

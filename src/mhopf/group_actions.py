@@ -25,7 +25,6 @@ from .algebras import (
     is_central_multiplier,
     is_idempotent_multiplier,
     multiplier_check,
-    multiplier_product,
     struct_const_algebra,
 )
 from .errors import CapabilityError, StructuralError, WindowError
@@ -71,11 +70,15 @@ def make_pga(name, group: GroupSpec, algebra: Algebra, sigma, alpha) -> PartialG
     return PartialGroupAction(name, group, algebra, sigma, alpha, corners)
 
 
+def _sigma_product(P: PartialGroupAction, g, h, vec: FinVec) -> FinVec:
+    """sigma_g sigma_h vec: sigma_h applied first, then sigma_g."""
+    return P.sigma[g].apply_left(P.sigma[h].apply_left(vec))
+
+
 def _product_image_basis(P: PartialGroupAction, g, h) -> list:
     """Basis of sigma_g sigma_h (R); stands in for the corner intersection."""
-    m = multiplier_product(P.sigma[g], P.sigma[h])
     window = P.algebra.basis_window(None)
-    return spans.span_basis([m.apply_left(FinVec.basis(t)) for t in window])
+    return spans.span_basis([_sigma_product(P, g, h, FinVec.basis(t)) for t in window])
 
 
 def alpha_inverse_image(P: PartialGroupAction, g, target: FinVec, factored: dict) -> Optional[FinVec]:
@@ -216,8 +219,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
     factored = {}
     for g in group.elements:
         for h in group.elements:
-            m = multiplier_product(P.sigma[group.inv(g)], P.sigma[h])
-            rhs_m = multiplier_product(P.sigma[g], P.sigma[group.mul(g, h)])
+            ginv, gh = group.inv(g), group.mul(g, h)
             for y in P.corners[g]:
                 pre = alpha_inverse_image(P, g, y, factored)
                 if pre is None:
@@ -225,7 +227,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
                         f"alpha at {g} is not invertible on its corner; "
                         "cannot extend it to multipliers"
                     )
-                if P.alpha[g](m.apply_left(pre)) != rhs_m.apply_left(y):
+                if P.alpha[g](_sigma_product(P, ginv, h, pre)) != _sigma_product(P, g, gh, y):
                     witnesses.append({"g": g, "h": h, "element": y})
                 if len(witnesses) >= 5:
                     break

@@ -23,7 +23,6 @@ class GroupSpec(NamedTuple):
     mul: Callable[[object, object], object]
     inv: Callable[[object], object]
     elements: Optional[tuple] = None
-    encode: Callable[[object], object] = lambda t: t
 
     def is_finite(self) -> bool:
         return self.elements is not None
@@ -185,21 +184,10 @@ def group_check(group: GroupSpec, window) -> list[CheckResult]:
     """Exhaustive group laws on a finite window.
 
     The window must contain the identity and be closed under inversion;
-    associativity is checked on every triple.  Token encoding must be
-    injective on the window.
+    associativity is checked on every triple.
     """
     window = tuple(window)
     results = []
-
-    codes = {}
-    collisions = []
-    for g in window:
-        code = group.encode(g)
-        if code in codes and codes[code] != g:
-            collisions.append({"token": g, "clashes_with": codes[code]})
-        codes[code] = g
-    if collisions:
-        raise StructuralError(f"encoding collision: {collisions[0]}")
 
     e = group.identity
     id_witnesses = [
@@ -232,12 +220,13 @@ def group_check(group: GroupSpec, window) -> list[CheckResult]:
     results.append(CheckResult.law(
         "associativity", assoc_witnesses, triples=len(window) ** 3))
 
-    if group.elements is not None and set(window) == set(group.elements):
+    members = set(window)
+    if group.elements is not None and members == set(group.elements):
         closed = [
             {"pair": (a, b), "product": group.mul(a, b)}
             for a in window
             for b in window
-            if group.mul(a, b) not in codes
+            if group.mul(a, b) not in members
         ]
         results.append(CheckResult.law("closure", closed))
     return results

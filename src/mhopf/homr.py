@@ -10,8 +10,10 @@ coefficient of (g, t) is that of t in F(g).  The standard envelope lives
 in the same algebra, so the convolution laws below certify the product the
 envelope multiplies with: `conv_mul` applies the one graded rule
 `vectors.graded_mul` to whole tables, and `conv_mul_generic` recomputes it
-through covered comultiplication only.  The module action is the token
-rule a |> (g, t) = [a = g] (g, t), which `globalize` uses as well.
+through covered comultiplication only.  `check_convolution` checks
+associativity and the agreement of the two paths on one table of pair
+products.  The module action is the token rule a |> (g, t) = [a = g] (g, t),
+which `globalize` uses as well.
 """
 
 from __future__ import annotations
@@ -78,33 +80,36 @@ def module_act(a, tok) -> FinVec:
     return FinVec.basis(tok) if a == tok[0] else FinVec()
 
 
-def check_conv_associative(M: MhaInstance, R: Algebra, samples: list[FinVec]) -> CheckResult:
-    """(F*G)*H = F*(G*H) on every triple of samples.  Each pair product
-    F*G is computed once per call, so n samples take n^2 + 2 n^3
-    products."""
+def check_convolution(M: MhaInstance, R: Algebra, samples: list[FinVec]) -> list[CheckResult]:
+    """`conv_associative`: (F*G)*H = F*(G*H) on every triple of samples;
+    `conv_paths_agree`: `conv_mul` and `conv_mul_generic` give the same
+    F*G on every pair.  Each pair product F*G is computed once per call
+    and serves both lines, so n samples take n^2 + 2 n^3 products by
+    `conv_mul` and n^2 by `conv_mul_generic`."""
     pair = once_per_pair(lambda i, j: conv_mul(M, R, samples[i], samples[j]))
+
+    def associativity():
+        witnesses = []
+        for i, F in enumerate(samples):
+            for j, G in enumerate(samples):
+                for k, H in enumerate(samples):
+                    left = conv_mul(M, R, pair(i, j), H)
+                    right = conv_mul(M, R, F, pair(j, k))
+                    if left != right:
+                        witnesses.append({"triple": (F, G, H), "left": left, "right": right})
+                        if len(witnesses) >= 2:
+                            return CheckResult.law("conv_associative", witnesses)
+        return CheckResult.law("conv_associative", witnesses, triples=len(samples) ** 3)
+
+    results = [associativity()]
     witnesses = []
     for i, F in enumerate(samples):
         for j, G in enumerate(samples):
-            for k, H in enumerate(samples):
-                left = conv_mul(M, R, pair(i, j), H)
-                right = conv_mul(M, R, F, pair(j, k))
-                if left != right:
-                    witnesses.append({"triple": (F, G, H), "left": left, "right": right})
-                    if len(witnesses) >= 2:
-                        return CheckResult.law("conv_associative", witnesses)
-    return CheckResult.law("conv_associative", witnesses, triples=len(samples) ** 3)
-
-
-def check_conv_paths_agree(M: MhaInstance, R: Algebra, samples: list[FinVec]) -> CheckResult:
-    witnesses = []
-    for F in samples:
-        for G in samples:
-            closed = conv_mul(M, R, F, G)
             covered = conv_mul_generic(M, R, F, G)
-            if closed != covered:
-                witnesses.append({"pair": (F, G), "closed": closed, "covered": covered})
-    return CheckResult.law("conv_paths_agree", witnesses[:3], pairs=len(samples) ** 2)
+            if pair(i, j) != covered:
+                witnesses.append({"pair": (F, G), "closed": pair(i, j), "covered": covered})
+    results.append(CheckResult.law("conv_paths_agree", witnesses[:3], pairs=len(samples) ** 2))
+    return results
 
 
 def check_module_algebra(
@@ -115,7 +120,10 @@ def check_module_algebra(
     samples: list[FinVec],
 ) -> list[CheckResult]:
     """Module law, support local units acting as units, and the covered
-    product law a |> (F*G) = sum (a_1 |> F) * (a_2 e |> G) on `samples`."""
+    product law a |> (F*G) = sum (a_1 |> F) * (a_2 e |> G) on `samples`.
+    Each distinct product of the covered law is computed once per call:
+    F*G once per pair of samples, and (u |> F)*(v |> G) once per pair of
+    acted samples, with every zero acted sample sharing one key."""
     window = M.basis_window(window)
     act = bilinear(module_act)
     results = []
@@ -145,17 +153,28 @@ def check_module_algebra(
     results.append(CheckResult.law(
         "local_units_act_as_units", witnesses[:3], samples=len(samples)))
 
+    product = once_per_pair(lambda i, j: conv_mul(M, R, samples[i], samples[j]))
+    acted = {}
+
+    def acted_key(u, i):
+        # key of u |> samples[i] in `acted`: (u, i), or None for zero
+        v = act(FinVec.basis(u), samples[i])
+        key = (u, i) if v else None
+        acted[key] = v
+        return key
+
+    acted_product = once_per_pair(lambda p, q: conv_mul(M, R, acted[p], acted[q]))
     witnesses = []
-    for F in samples:
-        for G in samples:
+    for i, F in enumerate(samples):
+        for j, G in enumerate(samples):
             if G.is_zero():
                 continue
             e = local_unit(M.algebra, [support_indicator(G)])
             for a in window:
-                left = act(FinVec.basis(a), conv_mul(M, R, F, G))
+                left = act(FinVec.basis(a), product(i, j))
                 pairs = bilinear(M.delta_r)(FinVec.basis(a), e)
                 right = lincomb(
-                    (conv_mul(M, R, act(FinVec.basis(u), F), act(FinVec.basis(v), G)), c)
+                    (acted_product(acted_key(u, i), acted_key(v, j)), c)
                     for (u, v), c in pairs.items()
                 )
                 if left != right:

@@ -91,9 +91,15 @@ class GlobalAction(NamedTuple):
 
 
 class AProjection(NamedTuple):
+    """Multiplication by a central idempotent `idem` of the acted algebra,
+    with a basis of its image."""
+
     context: GlobalAction
-    rule: Callable[[FinVec], FinVec]
+    idem: FinVec
     image: tuple
+
+    def rule(self, v: FinVec) -> FinVec:
+        return self.context.algebra.mul(self.idem, v)
 
 
 class Globalization(NamedTuple):
@@ -532,56 +538,13 @@ def central_idempotent_projection(ctx: GlobalAction, idem: FinVec) -> AProjectio
         raise StructuralError("not idempotent")
     rw = alg.basis_window(None)
     image = spans.span_basis([alg.mul(idem, FinVec.basis(t)) for t in rw])
-    return AProjection(
-        context=ctx,
-        rule=lambda v: alg.mul(idem, v),
-        image=tuple(image),
-    )
+    return AProjection(context=ctx, idem=idem, image=tuple(image))
 
 
-def subalgebra_from_vectors(ambient: Algebra, vecs, prefix="s"):
-    """Coordinates on the span of the given vectors, closed under products.
-
-    Returns (algebra, embed, project); project raises on vectors outside
-    the span."""
-    basis_vecs = spans.span_basis(vecs)
-    span = spans.Span(basis_vecs)
-    tokens = tuple((prefix, i) for i in range(len(basis_vecs)))
-    by_token = dict(zip(tokens, basis_vecs))
-
-    def project(v: FinVec) -> FinVec:
-        coeffs = span.coords(v)
-        if coeffs is None:
-            raise StructuralError("vector escapes the declared subalgebra")
-        return FinVec(zip(tokens, coeffs))
-
-    embed = linear(by_token.__getitem__)
-
-    def mul_basis(i, j):
-        return project(ambient.mul(by_token[i], by_token[j]))
-
-    one = None
-    if ambient.one is not None and span.contains(ambient.one):
-        one = project(ambient.one)
-
-    alg = Algebra(
-        name=f"{ambient.name}|{prefix}",
-        mul_basis=once_per_pair(mul_basis),
-        basis=tokens,
-        one=one,
-        pointwise=False,
-        group=None,
-    )
-    return alg, embed, project
-
-
-def induce_from_projection(
-    proj: AProjection,
-    a_window=None,
-    coords=None,
-) -> PartialActionData:
-    """a . x := pi(a |> x) on the image of an A-projection, with the
-    multiplier e(a) assembled from the covered one-sided formulas."""
+def induce_from_projection(proj: AProjection, a_window=None) -> PartialActionData:
+    """a . x := pi(a |> x) on the image of an A-projection, in the
+    coordinates of its corner, with the multiplier e(a) assembled from the
+    covered one-sided formulas."""
     ctx = proj.context
     M = ctx.instance
     pre = check_a_projection(proj, a_window=a_window)
@@ -589,15 +552,11 @@ def induce_from_projection(
     if bad:
         raise StructuralError(
             "projection rejected: " + ", ".join(r.name for r in bad))
-    if coords is None:
-        L_alg, embed, project = subalgebra_from_vectors(
-            ctx.algebra, list(proj.image))
-    else:
-        L_alg, embed, project = coords
+    corner = Corner(ctx.algebra, proj.idem)
     aw = tuple(M.basis_window(a_window))
 
     def act(a, ltok):
-        return project(proj.rule(ctx.act_vec(FinVec.basis(a), embed(FinVec.basis(ltok)))))
+        return corner.project(ctx.act_vec(FinVec.basis(a), corner.embed(FinVec.basis(ltok))))
 
     act_vec = bilinear(act)
 
@@ -623,17 +582,17 @@ def induce_from_projection(
             )(bilinear(cover)(FinVec.basis(a), acting_unit(ltok)))
 
         return Multiplier.from_rules(
-            L_alg, side(M.cov_iS), side(M.cov_Sinv), window=L_alg.basis
+            corner.algebra, side(M.cov_iS), side(M.cov_Sinv), window=corner.reps
         )
 
     return PartialActionData(
         name=f"induced:{ctx.name}",
         instance=M,
-        algebra=L_alg,
+        algebra=corner.algebra,
         act=act,
         e_map=e_map,
         a_window=aw,
-        aux={"context": ctx, "projection": proj, "embed": embed, "project": project},
+        aux={"context": ctx, "projection": proj, "corner": corner},
     )
 
 

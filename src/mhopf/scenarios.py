@@ -32,7 +32,6 @@ from . import coactions, group_actions, homr, mha, partial_actions
 from .algebras import (
     Algebra,
     Corner,
-    Multiplier,
     group_algebra_plain,
     pointwise_algebra,
     subgroup_average_idempotent,
@@ -40,7 +39,7 @@ from .algebras import (
 from .errors import MhopfError, StructuralError
 from .groups import GroupSpec, parse_group, subgroup_elements
 from .reports import CheckResult, Report
-from .vectors import FinVec, linear, token_key
+from .vectors import FinVec
 
 SCENARIO_SCHEMA = 1
 
@@ -177,31 +176,6 @@ def _build_pga(ctx, entry):
         )
     if ctor == "zero_corner":
         return group_actions.zero_corner_pga()
-    if ctor == "inline":
-        group = ctx.get(entry["group"], GroupSpec)
-        algebra = ctx.get(entry["algebra"], Algebra)
-        sigma = {
-            _token(json.loads(g) if isinstance(g, str) else g):
-                Multiplier.from_element(algebra, _vector(vec))
-            for g, vec in entry["sigma"].items()
-        }
-        alpha = {}
-        for g, table in entry["alpha"].items():
-            rules = {
-                _token(json.loads(t)): _vector(vec) for t, vec in table.items()
-            }
-
-            def act(v, rules=rules, g=g):
-                missing = [tok for tok, _ in v.items() if tok not in rules]
-                if missing:
-                    tok = min(missing, key=token_key)
-                    raise StructuralError(
-                        f"inline alpha at {g} has no rule for token {tok!r}"
-                    )
-                return linear(rules.__getitem__)(v)
-
-            alpha[_token(json.loads(g) if isinstance(g, str) else g)] = act
-        return group_actions.make_pga(entry.get("name", "inline"), group, algebra, sigma, alpha)
     if ctor == "mutate":
         base = ctx.get(entry["base"], group_actions.PartialGroupAction)
         g = _token(entry["g"]) if "g" in entry else None
@@ -281,10 +255,7 @@ def _chk_convolution(ctx, entry, window, rng):
     source = ctx.get(entry["source"], mha.MhaInstance)
     target = ctx.get(entry["target_algebra"], Algebra) if "target_algebra" in entry else group_algebra_plain(source.algebra.group)
     samples = _random_hom_samples(rng, source, target, entry.get("samples", 5))
-    return [
-        homr.check_conv_associative(source, target, samples),
-        homr.check_conv_paths_agree(source, target, samples),
-    ]
+    return homr.check_convolution(source, target, samples)
 
 
 def _chk_module_algebra(ctx, entry, window, rng):

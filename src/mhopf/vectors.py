@@ -359,8 +359,3 @@ class LinearMapTable:
 
     def __call__(self, vec: FinVec) -> FinVec:
         return self.apply(vec)
-
-    def equal_on_window(self, other: "LinearMapTable") -> bool:
-        if self.window != other.window:
-            return False
-        return all(self.table[tok] == other.table[tok] for tok in self.window)

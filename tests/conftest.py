@@ -71,7 +71,6 @@ def regular_comodule(instance):
         algebra=instance.algebra,
         instance=instance,
         rho_r=instance.delta_r,
-        rho_l=instance.delta_l,
     )
 
 

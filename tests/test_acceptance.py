@@ -24,8 +24,7 @@ from mhopf.coactions import (
 )
 from mhopf.groups import alternating_elements, parse_group
 from mhopf.homr import (
-    check_conv_associative,
-    check_conv_paths_agree,
+    check_convolution,
     check_convolutive_inverse,
     check_module_algebra,
 )
@@ -92,8 +91,7 @@ def test_primary_2_convolution_algebra():
     source = instance_for("A_G", S3)
     target = group_algebra_plain(S3)
     samples = _random_hom_samples(random.Random(11), source, target, 5)
-    assoc = check_conv_associative(source, target, samples)
-    paths = check_conv_paths_agree(source, target, samples)
+    assoc, paths = check_convolution(source, target, samples)
     module = check_module_algebra(source, target, samples=samples)
     ok = (assoc.outcome == "pass" and assoc.details["triples"] >= 100
           and paths.outcome == "pass" and all_pass(module))
@@ -128,8 +126,7 @@ def test_primary_4_corner_action_reproduction():
     kG = corner.ambient
     f = P.aux["idempotent"]
     proj = central_idempotent_projection(global_AG_on_kG(S3), f)
-    induced = induce_from_projection(
-        proj, coords=(P.algebra, corner.embed, corner.project))
+    induced = induce_from_projection(proj)
     pairs = 0
     ok = True
     for a in S3.elements:

@@ -15,7 +15,6 @@ from mhopf.algebras import (
     is_idempotent_multiplier,
     local_unit,
     multiplier_check,
-    multiplier_product,
     pointwise_algebra,
     struct_const_algebra,
     subgroup_average_idempotent,
@@ -146,16 +145,6 @@ def test_noncentral_element_is_still_a_multiplier(S3):
     assert multiplier_check(m).ok()
     assert is_idempotent_multiplier(m)
     assert not is_central_multiplier(m)
-
-
-def test_multiplier_product_composes_actions(S3):
-    A = group_algebra_plain(S3)
-    m1 = Multiplier.from_element(A, FinVec.basis((1, 0, 2)))
-    m2 = Multiplier.from_element(A, FinVec.basis((1, 2, 0)))
-    prod = multiplier_product(m1, m2)
-    v = FinVec.basis(S3.identity)
-    assert prod.apply_left(v) == A.mul(FinVec.basis(S3.mul((1, 0, 2), (1, 2, 0))), v)
-    assert multiplier_check(prod).ok()
 
 
 def test_identity_and_scalar_multipliers(C4):

@@ -4,9 +4,11 @@
 outer acting token once per call, and projects per acting token only
 where `pi_a_projection`'s two products differ; `check_partial_action`
 and `check_symmetric` compute the inner product of their product laws
-once per (b, x, y); `check_conv_associative` computes each pair product
-once, and each product sums its target products straight into the
-finished table through `vectors.graded_mul`, with no `Algebra.mul`.
+once per (b, x, y); `check_convolution` computes each pair product
+once for both of its lines, and each product sums its target products
+straight into the finished table through `vectors.graded_mul`, with no
+`Algebra.mul`; `check_module_algebra` computes each distinct product of
+its covered product law once.
 These counts pin that, so per-token work that comes back shows here as
 a number, not as a slower benchmark.
 """
@@ -79,22 +81,52 @@ def test_partial_action_work(group, want):
 
 def test_conv_associative_pair_products_once(monkeypatch):
     calls = Counter()
+    exact, exact_generic, exact_alg_mul = homr.conv_mul, homr.conv_mul_generic, Algebra.mul
+
+    def conv_mul(M, R, F, G):
+        calls["conv_mul"] += 1
+        return exact(M, R, F, G)
+
+    def mul(*args):
+        calls["Algebra.mul"] += 1
+        return exact_alg_mul(*args)
+
+    def conv_mul_generic(M, R, F, G):
+        # the coverage path's own target products are not counted
+        calls["conv_mul_generic"] += 1
+        with monkeypatch.context() as inner:
+            inner.setattr(Algebra, "mul", exact_alg_mul)
+            return exact_generic(M, R, F, G)
+
+    S3 = symmetric_group(3)
+    source, target = instance_for("A_G", S3), group_algebra_plain(S3)
+    samples = _random_hom_samples(random.Random(5), source, target, 5)
+    monkeypatch.setattr(homr, "conv_mul", conv_mul)
+    monkeypatch.setattr(homr, "conv_mul_generic", conv_mul_generic)
+    monkeypatch.setattr(Algebra, "mul", mul)
+    results = homr.check_convolution(source, target, samples)
+    assert [(r.name, r.outcome) for r in results] == [
+        ("conv_associative", "pass"), ("conv_paths_agree", "pass")]
+    # 25 pair products, then two products per triple; the 25 pair
+    # products are compared with the coverage path, not recomputed, and
+    # none of the closed products builds a target product per table pair
+    assert dict(calls) == {"conv_mul": 25 + 2 * 125, "conv_mul_generic": 25}
+
+
+def test_module_algebra_products_once(monkeypatch):
+    calls = Counter()
     exact = homr.conv_mul
 
     def conv_mul(M, R, F, G):
         calls["conv_mul"] += 1
         return exact(M, R, F, G)
 
-    def mul(*args, _inner=Algebra.mul):
-        calls["Algebra.mul"] += 1
-        return _inner(*args)
-
     S3 = symmetric_group(3)
     source, target = instance_for("A_G", S3), group_algebra_plain(S3)
-    samples = _random_hom_samples(random.Random(5), source, target, 5)
+    samples = _random_hom_samples(random.Random(11), source, target, 5)
     monkeypatch.setattr(homr, "conv_mul", conv_mul)
-    monkeypatch.setattr(Algebra, "mul", mul)
-    assert homr.check_conv_associative(source, target, samples).outcome == "pass"
-    # 25 pair products, then two products per triple; none of them builds
-    # a target product per table pair
-    assert dict(calls) == {"conv_mul": 25 + 2 * 125}
+    results = homr.check_module_algebra(source, target, samples=samples)
+    assert all(r.outcome == "pass" for r in results)
+    # the distinct products of `covered_product_law` on these samples
+    # (window 6): 600 calls before its products were tabled
+    assert dict(calls) == {"conv_mul": 265}

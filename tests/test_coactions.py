@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from mhopf.algebras import Corner, group_algebra_plain, subgroup_average_idempotent
+from mhopf.algebras import (
+    Corner,
+    group_algebra_plain,
+    struct_const_algebra,
+    subgroup_average_idempotent,
+)
 from mhopf.coactions import (
     DualFunctional,
     check_coaction_range,
@@ -295,6 +300,20 @@ class TestCoenvelope:
         assert len(results) == 8
         for res in results:
             assert res.outcome == "pass", (res.name, res.witnesses)
+
+    def test_unital_specialization_needs_a_unit(self):
+        # u u = u and every other product zero: no element is a unit, and
+        # no scenario constructor builds such a coacted algebra
+        L = struct_const_algebra("unit-plus-nil", ("u", "z"), {("u", "u"): FinVec.basis("u")})
+        C4 = parse_group("cyclic:4")
+        e = FinVec.basis(C4.identity)
+        C = trivial_coaction(L, instance_for("A_G", C4), e)
+        results = check_coglobalization(coaction_globalize(C, e))
+        *laws, last = results
+        for res in laws:
+            assert res.outcome == "pass", (res.name, res.witnesses)
+        assert (last.name, last.outcome) == ("unital_specialization", "inconclusive")
+        assert last.details == {"reason": "coacted algebra has no unit"}
 
     def test_global_envelope_is_theta_image(self, global_coaction):
         # With E the identity, Q collapses onto theta(L).

@@ -7,7 +7,10 @@ identity projection, a dropped coaction term, a non-counitary element), the
 group-side failures (a wrong convolutive inverse, the zero-corner partial
 group action), the S3 partial action checked on a one-token window, and
 `mha_axioms` on kC6 over a two-token window, where `regular` is
-``inconclusive`` because a preimage may lie outside the window.
+``inconclusive`` because a preimage may lie outside the window, and the
+standard envelope of the S3 corner action checked on a one-token window,
+where `env_product_law` is ``inconclusive`` because three generators
+have no cover inside the window.
 
 ``windowed_fN_S3`` pins today's windowed verdicts, including false failures:
 on a partial window the existence and span laws (``e_left_compatibility``,

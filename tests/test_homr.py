@@ -18,8 +18,7 @@ from mhopf.errors import CapabilityError
 from mhopf.group_actions import subset_translation_pga, to_hopf
 from mhopf.groups import parse_group
 from mhopf.homr import (
-    check_conv_associative,
-    check_conv_paths_agree,
+    check_convolution,
     check_convolutive_inverse,
     check_module_algebra,
     conv_mul,
@@ -69,16 +68,16 @@ class TestConvolution:
 
     def test_generic_coverage_path_matches_closed(self, hom_space, samples):
         source, target = hom_space
-        res = check_conv_paths_agree(source, target, samples)
-        assert res.outcome == "pass"
+        res = check_convolution(source, target, samples)[1]
+        assert (res.name, res.outcome) == ("conv_paths_agree", "pass")
         for f in samples:
             for g in samples:
                 assert conv_mul_generic(source, target, f, g) == conv_mul(source, target, f, g)
 
     def test_associative_on_125_random_triples(self, hom_space, samples):
         assert len(samples) ** 3 >= 100
-        res = check_conv_associative(*hom_space, samples)
-        assert res.outcome == "pass"
+        res = check_convolution(*hom_space, samples)[0]
+        assert (res.name, res.outcome) == ("conv_associative", "pass")
         assert res.details["triples"] == 125
 
     def test_zero_is_absorbing(self, hom_space, samples):

@@ -98,7 +98,8 @@ def skewed_convolution(monkeypatch):
     S3 = symmetric_group(3)
     source, target = instance_for("A_G", S3), group_algebra_plain(S3)
     samples = _random_hom_samples(random.Random(5), source, target, 5)
-    return [homr.check_conv_associative(source, target, samples)]
+    # the `conv_associative` line; `conv_paths_agree` fails as well
+    return homr.check_convolution(source, target, samples)[:1]
 
 
 MUTANTS = {

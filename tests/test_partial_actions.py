@@ -101,11 +101,9 @@ class TestCornerAction:
 class TestInducedAction:
     def test_matches_corner_action_on_all_pairs(self, corner_action, evaluation, S3):
         P = corner_action
-        corner = P.aux["corner"]
-        f = P.aux["idempotent"]
-        proj = central_idempotent_projection(evaluation, f)
-        induced = induce_from_projection(
-            proj, coords=(P.algebra, corner.embed, corner.project))
+        proj = central_idempotent_projection(evaluation, P.aux["idempotent"])
+        induced = induce_from_projection(proj)
+        assert induced.algebra.basis == P.algebra.basis
         pairs = 0
         for a in S3.elements:
             for x in P.algebra.basis:
@@ -115,10 +113,8 @@ class TestInducedAction:
 
     def test_induced_e_map_matches(self, corner_action, evaluation, S3):
         P = corner_action
-        corner = P.aux["corner"]
         proj = central_idempotent_projection(evaluation, P.aux["idempotent"])
-        induced = induce_from_projection(
-            proj, coords=(P.algebra, corner.embed, corner.project))
+        induced = induce_from_projection(proj)
         for a in S3.elements:
             em_i = induced.e_map(a)
             em_p = P.e_map(a)
