@@ -40,7 +40,7 @@ from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_
 from .errors import CapabilityError
 from .mha import MhaInstance
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, lincomb, linear, tensor, tensor_map
+from .vectors import FinVec, bilinear, lincomb, linear, on_legs, once_per_pair, tensor
 
 PairRule = Callable[[object, object], FinVec]
 
@@ -102,17 +102,6 @@ def tensor_comodule(target: Algebra, instance: MhaInstance, a_window=None) -> Gl
         instance=instance,
         rho_r=rho_r,
     )
-
-
-def _second_slot_lmul(C: PartialCoactionData, a: FinVec, v: FinVec) -> FinVec:
-    # (1 (x) a) v on concrete pair vectors
-    A = C.instance.algebra
-    return tensor_map(FinVec.basis, lambda u: A.mul(a, FinVec.basis(u)))(v)
-
-
-def _second_slot_rmul(C: PartialCoactionData, v: FinVec, a: FinVec) -> FinVec:
-    A = C.instance.algebra
-    return tensor_map(FinVec.basis, lambda u: A.mul(FinVec.basis(u), a))(v)
 
 
 def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window=None, name=None) -> PartialCoactionData:
@@ -178,46 +167,45 @@ def mutate_coaction(C: PartialCoactionData, kind: str) -> PartialCoactionData:
     raise CapabilityError(f"unknown coaction mutation {kind!r}")
 
 
-def _coassoc_sides(C: PartialCoactionData, x, a, b):
+def _coassoc_sides(inst: MhaInstance, rho_r, e_left, x, a, b):
     """Both sides of the right-covered coassociativity law at (x, a, b),
-    and the right side before E is applied: (lhs, rhs, unrestricted)."""
-    inst = C.instance
-    lhs = tensor_map(lambda l: C.rho_r(l, a), FinVec.basis)(C.rho_r(x, b))
-    # tokens ((l, t), b_i), then ((l, u), w) with u (x) w = Delta(t)(1 (x) b_i)
-    covered = tensor_map(lambda ai: C.rho_r(x, ai), FinVec.basis)(inst.t1_inv(a, b))
-    unrestricted = linear(
-        lambda p: inst.delta_r(p[0][1], p[1]).map_tokens(lambda uw: ((p[0][0], uw[0]), uw[1]))
-    )(covered)
-    rhs = tensor_map(lambda lu: C.E.apply_left(FinVec.basis(lu)), FinVec.basis)(unrestricted)
-    return lhs, rhs, unrestricted
+    and the right side before E is applied: (lhs, rhs, unrestricted), on
+    tokens (l, u, w) of L (x) A (x) A."""
+    lhs = on_legs(lambda l: rho_r(l, a), rho_r(x, b), 0, 1)
+    # tokens (l, t, b_i), then (l, u, w) with u (x) w = Delta(t)(1 (x) b_i)
+    covered = on_legs(lambda ai: rho_r(x, ai), inst.t1_inv(a, b), 0, 1)
+    unrestricted = on_legs(inst.delta_r, covered, 1, 3)
+    return lhs, on_legs(e_left, unrestricted, 0, 2), unrestricted
 
 
-def _coassoc_sym_sides(C: PartialCoactionData, x, a, b):
-    """Both sides of the left-covered symmetric law at (x, a, b)."""
-    inst = C.instance
-    lhs = tensor_map(lambda l: C.rho_l(a, l), FinVec.basis)(C.rho_l(b, x))
-    # tokens ((l, t), a_j), then ((l, u), w) with u (x) w = (a_j (x) 1)Delta(t)
-    covered = linear(
-        lambda ab: C.rho_l(ab[1], x).map_tokens(lambda lt: (lt, ab[0]))
-    )(inst.t2_inv(a, b))
-    rhs = linear(
-        lambda p: inst.delta_l(p[1], p[0][1]).map_tokens(lambda uw: ((p[0][0], uw[0]), uw[1]))
-    )(covered)
-    rhs = tensor_map(lambda lu: C.E.apply_right(FinVec.basis(lu)), FinVec.basis)(rhs)
-    return lhs, rhs
+def _coassoc_sym_sides(inst: MhaInstance, rho_l, e_right, x, a, b):
+    """Both sides of the left-covered symmetric law at (x, a, b), on
+    tokens (l, u, w) of L (x) A (x) A."""
+    lhs = on_legs(lambda l: rho_l(a, l), rho_l(b, x), 0, 1)
+    # (1 (x) b_j)rho(x) with u (x) w = (a_j (x) 1)Delta(t) on its leg t
+    covered = on_legs(
+        lambda aj, bj: on_legs(lambda t: inst.delta_l(aj, t), rho_l(bj, x), 1, 2),
+        inst.t2_inv(a, b), 0, 2)
+    return lhs, on_legs(e_right, covered, 0, 2)
 
 
 def check_partial_coaction(C: PartialCoactionData, window=None):
-    """Full axiom battery for a covered partial coaction."""
+    """Full axiom battery for a covered partial coaction.  rho_r, rho_l
+    and the slot maps of E are tabulated for the call, each pair
+    evaluated once."""
     win = C.window(window)
     lbasis = C.target_basis()
     L = C.target
-    A = C.instance.algebra
+    inst = C.instance
+    A = inst.algebra
+    rho_r, rho_l = once_per_pair(C.rho_r), once_per_pair(C.rho_l)
+    e_left = once_per_pair(lambda l, u: C.E.apply_left(FinVec.basis((l, u))))
+    e_right = once_per_pair(lambda l, u: C.E.apply_right(FinVec.basis((l, u))))
     results = []
 
     def stacked(x):
         return lincomb(
-            (C.rho_r(x, a).map_tokens(lambda pair, a=a: (pair, a)), 1) for a in win
+            (rho_r(x, a).map_tokens(lambda pair, a=a: (pair, a)), 1) for a in win
         )
 
     kern = spans.kernel_of_map(lbasis, stacked)
@@ -230,16 +218,14 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     # E = sum m_i (x) a_i with m_i acting only on the first slot:
     # E(l (x) ab) = (E(l (x) a))(1 (x) b) and the right-handed mirror.
     for l in lbasis:
+        lv = FinVec.basis(l)
         for a in win:
-            base_l = C.E.apply_left(FinVec.basis((l, a)))
-            base_r = C.E.apply_right(FinVec.basis((l, a)))
             for b in win:
-                bv = FinVec.basis(b)
-                lhs = linear(lambda u: C.E.apply_left(FinVec.basis((l, u))))(A.mul_basis(a, b))
-                if lhs != _second_slot_rmul(C, base_l, bv):
+                lhs = on_legs(e_left, tensor(lv, A.mul_basis(a, b)), 0, 2)
+                if lhs != on_legs(lambda u: tensor(A.mul_basis(u, b)), e_left(l, a), 1, 2):
                     witnesses.append({"law": "E(l (x) ab) = E(l (x) a)(1 (x) b)", "triple": (l, a, b)})
-                rhs = linear(lambda u: C.E.apply_right(FinVec.basis((l, u))))(A.mul_basis(b, a))
-                if rhs != _second_slot_lmul(C, bv, base_r):
+                rhs = on_legs(e_right, tensor(lv, A.mul_basis(b, a)), 0, 2)
+                if rhs != on_legs(lambda u: tensor(A.mul_basis(b, u)), e_right(l, a), 1, 2):
                     witnesses.append({"law": "(l (x) ba)E = (1 (x) b)((l (x) a)E)", "triple": (l, a, b)})
     results.append(CheckResult.law("e_multiplier", witnesses[:6]))
 
@@ -249,13 +235,12 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
         for y in lbasis:
             prod = L.mul(xv, FinVec.basis(y))
             for a in win:
-                direct = C.rho_r_vec(prod, FinVec.basis(a))
-                # x0 y0 (x) x1 y1 a, covering x by the second slot of rho(y)(1 (x) a)
-                composed = linear(
-                    lambda lt: tensor_map(lambda l2: L.mul_basis(l2, lt[0]), FinVec.basis)(
-                        C.rho_r(x, lt[1])
-                    )
-                )(C.rho_r(y, a))
+                direct = linear(lambda l: rho_r(l, a))(prod)
+                # x0 y0 (x) x1 y1 a: rho(x)(1 (x) t) on the leg t of
+                # rho(y)(1 (x) a), then the product of the two L legs
+                composed = on_legs(
+                    lambda l, l2: tensor(L.mul_basis(l2, l)),
+                    on_legs(lambda t: rho_r(x, t), rho_r(y, a), 1, 2), 0, 2)
                 if direct != composed:
                     hom_wit.append({"pair": (x, y), "cover": a})
     results.append(CheckResult.law("rho_homomorphism", hom_wit[:4]))
@@ -267,12 +252,12 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     for x in lbasis:
         for a in win:
             for b in win:
-                lhs, rhs, unrestricted = _coassoc_sides(C, x, a, b)
+                lhs, rhs, unrestricted = _coassoc_sides(inst, rho_r, e_left, x, a, b)
                 if lhs != rhs:
                     cov_wit.append({"triple": (x, a, b)})
                 if lhs != unrestricted:
                     law_unrestricted = False
-                lhs, rhs = _coassoc_sym_sides(C, x, a, b)
+                lhs, rhs = _coassoc_sym_sides(inst, rho_l, e_right, x, a, b)
                 if lhs != rhs:
                     sym_wit.append({"triple": (x, a, b)})
     results.append(CheckResult.law(
@@ -282,28 +267,23 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     absorb_wit = []
     for x in lbasis:
         for a in win:
-            rv = C.rho_r(x, a)
-            if C.E.apply_left(rv) != rv:
+            rv = rho_r(x, a)
+            if on_legs(e_left, rv, 0, 2) != rv:
                 absorb_wit.append({"law": "E rho(x) = rho(x)", "pair": (x, a)})
-            lv = C.rho_l(a, x)
-            if C.E.apply_right(lv) != lv:
+            lv = rho_l(a, x)
+            if on_legs(e_right, lv, 0, 2) != lv:
                 absorb_wit.append({"law": "rho(x) E = rho(x)", "pair": (x, a)})
     results.append(CheckResult.law("e_absorbs_rho", absorb_wit[:4]))
 
     counit_wit = []
-    inst = C.instance
     for x in lbasis:
         for a in win:
-            rec = linear(lambda lt: FinVec.basis(lt[0], inst.counit(lt[1])))(C.rho_r(x, a))
-            if rec != FinVec.basis(x, inst.counit(a)):
+            rec = on_legs(lambda t: FinVec.basis((), inst.counit(t)), rho_r(x, a), 1, 2)
+            if rec != FinVec.basis((x,), inst.counit(a)):
                 counit_wit.append({"pair": (x, a)})
     results.append(CheckResult.law("counit_recovery", counit_wit[:4]))
 
-    e_is_identity = all(
-        C.E.apply_left(FinVec.basis(tok)) == FinVec.basis(tok)
-        and C.E.apply_right(FinVec.basis(tok)) == FinVec.basis(tok)
-        for tok in C.E.window
-    )
+    e_is_identity = all(e_left(*t) == e_right(*t) == FinVec.basis(t) for t in C.E.window)
     witnesses = [] if e_is_identity == law_unrestricted else [
         {"e_identity": e_is_identity, "unrestricted_law": law_unrestricted}]
     results.append(CheckResult.law(
@@ -505,8 +485,11 @@ def coaction_globalize(C: PartialCoactionData, e: FinVec, a_window=None) -> Coac
     gens = [theta_map[x] for x in C.target_basis()]
     q_basis = generated_subcomodule(com, gens, win)
 
+    A = C.instance.algebra
+
     def pi_rule(v):
-        return C.E.apply_left(_second_slot_lmul(C, e, v))
+        # E(1 (x) e)v
+        return C.E.apply_left(on_legs(lambda u: tensor(A.mul(e, FinVec.basis(u))), v, 1, 2))
 
     return CoactionGlobalization(
         name=f"envelope:{C.name}",
@@ -533,13 +516,6 @@ def _pi_tensor(G: CoactionGlobalization, triple: FinVec) -> FinVec:
     )
 
 
-def _phi_e(G: CoactionGlobalization, z: FinVec, w) -> FinVec:
-    # Phi(E)(theta(z) (x) w) = (theta (x) 1)(E (z (x) w))
-    return tensor_map(G.theta_map.__getitem__, FinVec.basis)(
-        G.base.E.apply_left(tensor(z, FinVec.basis(w)))
-    )
-
-
 def check_coglobalization(G: CoactionGlobalization, window=None):
     """Verification battery for the enveloping coaction.  The projection
     of each basis vector of Q is computed once per call and shared by
@@ -551,6 +527,8 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     results = []
 
     theta_vecs = G.theta_basis()
+    # theta as a map from the L leg of a tensor to its Q leg
+    theta_leg = {x: tensor(G.theta_map[x]) for x in lbasis}.__getitem__
     q_span = spans.Span(G.q_basis)
     theta_span = spans.Span(theta_vecs)
     closed_wit = []
@@ -610,7 +588,9 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
             if coords is None:
                 eproj_wit.append({"basis_index": i, "reason": "projection left theta(L)"})
                 break
-            terms.append((_phi_e(G, FinVec(zip(lbasis, coords)), w), 1))
+            # Phi(E)(theta(z) (x) w) = (theta (x) 1)(E (z (x) w))
+            ez = C.E.apply_left(tensor(FinVec(zip(lbasis, coords)), FinVec.basis(w)))
+            terms.append((on_legs(theta_leg, ez, 0, 1), 1))
         else:
             if lhs != lincomb(terms):
                 eproj_wit.append({"basis_index": i})
@@ -618,9 +598,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
 
     compat_wit = []
     for x in lbasis:
-        lhs = tensor_map(G.theta_map.__getitem__, FinVec.basis)(
-            C.rho_r_vec(FinVec.basis(x), G.e)
-        )
+        lhs = on_legs(theta_leg, C.rho_r_vec(FinVec.basis(x), G.e), 0, 1)
         rhs = _pi_tensor(G, com.rho_r_vec(G.theta_map[x], G.e))
         if lhs != rhs:
             compat_wit.append({"token": x})

@@ -123,7 +123,8 @@ def check_module_algebra(
     product law a |> (F*G) = sum (a_1 |> F) * (a_2 e |> G) on `samples`.
     Each distinct product of the covered law is computed once per call:
     F*G once per pair of samples, and (u |> F)*(v |> G) once per pair of
-    acted samples, with every zero acted sample sharing one key."""
+    acted samples, with every zero acted sample sharing one key; the local
+    unit of each nonzero sample is computed once and serves both laws."""
     window = M.basis_window(window)
     act = bilinear(module_act)
     results = []
@@ -140,15 +141,16 @@ def check_module_algebra(
     results.append(CheckResult.law(
         "module_law", witnesses[:3], pairs=len(window) ** 2, samples=len(samples)))
 
-    witnesses = []
-    for F in samples:
-        if F.is_zero():
-            continue
+    def unit_of(F):
         try:
-            e = local_unit(M.algebra, [support_indicator(F)])
+            return local_unit(M.algebra, [support_indicator(F)])
         except NoLocalUnitError as exc:
             raise CapabilityError(f"no covering local unit: {exc}") from exc
-        if act(e, F) != F:
+
+    units = [None if F.is_zero() else unit_of(F) for F in samples]
+    witnesses = []
+    for F, e in zip(samples, units):
+        if e is not None and act(e, F) != F:
             witnesses.append({"F": F, "unit": e, "acted": act(e, F)})
     results.append(CheckResult.law(
         "local_units_act_as_units", witnesses[:3], samples=len(samples)))
@@ -167,9 +169,9 @@ def check_module_algebra(
     witnesses = []
     for i, F in enumerate(samples):
         for j, G in enumerate(samples):
-            if G.is_zero():
+            e = units[j]
+            if e is None:
                 continue
-            e = local_unit(M.algebra, [support_indicator(G)])
             for a in window:
                 left = act(FinVec.basis(a), product(i, j))
                 pairs = bilinear(M.delta_r)(FinVec.basis(a), e)

@@ -18,14 +18,17 @@ lists and report rendering.
 Every structure map in the package is a linear or bilinear rule on basis
 tokens; `linear` and `bilinear` extend such a rule to vectors, and
 `bilinear_sum` sums the bilinear extension over many pairs of vectors.
+A tensor token is a flat tuple of legs; `on_legs` applies a rule to a run
+of legs and keeps the others, so a covered law is a composition of leg
+maps: coassociativity reads (T2 (x) i)(i (x) T1) = (i (x) T1)(T2 (x) i).
 `graded_mul` is the one group-graded product (g, l)(h, m) = (gh, lm) of
 the convolution algebras, on vectors over graded tokens (g, l).  `axpy`,
 acc += c * src on plain coefficient dicts, is the one in-place
-accumulator that `lincomb`, `linear`, `bilinear` and `bilinear_sum` (and
-the echelon rows of `spans.Span`) share.  `once_per_pair` is the one way
-to cache a rule on pairs of tokens.  Its hits hand out the same `FinVec`
-object again, which is safe because no code outside this module touches
-a vector's coefficient dict `_c`.
+accumulator that `lincomb`, `linear`, `bilinear`, `bilinear_sum` and
+`on_legs` (and the echelon rows of `spans.Span`) share.  `once_per_pair`
+is the one way to cache a rule on pairs of tokens.  Its hits hand out the
+same `FinVec` object again, which is safe because no code outside this
+module touches a vector's coefficient dict `_c`.
 """
 
 from __future__ import annotations
@@ -318,20 +321,32 @@ def once_per_pair(rule: Callable[[object, object], object]):
     return cached
 
 
-def tensor(x: FinVec, y: FinVec) -> FinVec:
-    """Tensor product of two vectors, indexed by token pairs.
+def tensor(*factors: FinVec) -> FinVec:
+    """Tensor product of vectors, one leg each: its tokens are the tuples
+    of their tokens, so `tensor(x)` is x as a tensor of one leg.
 
-    Distinct pairs of tokens give distinct pair tokens, so there is
-    nothing to accumulate and no product of nonzero coefficients is zero.
+    Distinct tuples of tokens give distinct tokens, so there is nothing
+    to accumulate and no product of nonzero coefficients is zero.
     """
-    return FinVec._of(
-        {(i, j): ci * cj for i, ci in x._c.items() for j, cj in y._c.items()}
-    )
+    acc = {(): 1}
+    for f in factors:
+        acc = {tok + (t,): c * v for tok, c in acc.items() for t, v in f._c.items()}
+    return FinVec._of(acc)
 
 
-def tensor_map(first: Callable[[object], FinVec], second: Callable[[object], FinVec]):
-    """Linear map f (x) g on vectors over pair tokens, from token rules."""
-    return linear(lambda p: tensor(first(p[0]), second(p[1])))
+def on_legs(rule: Callable[..., FinVec], x: FinVec, start: int, stop: int) -> FinVec:
+    """The leg map that applies `rule` to legs start:stop of a tensor.
+
+    `rule(*tok[start:stop])` returns a vector over tuples of legs, each
+    spliced in as `tok[:start] + out + tok[stop:]`.  The run is always
+    given: a leg may itself be a tuple (a permutation, say), so leg
+    boundaries are never read off a token's shape."""
+    acc = {}
+    for tok, c in x._c.items():
+        head, tail = tok[:start], tok[stop:]
+        out = rule(*tok[start:stop])._c
+        axpy(acc, c, {head + t + tail: v for t, v in out.items()})
+    return FinVec._of(acc)
 
 
 class LinearMapTable:

@@ -8,7 +8,10 @@ once per (b, x, y); `check_convolution` computes each pair product
 once for both of its lines, and each product sums its target products
 straight into the finished table through `vectors.graded_mul`, with no
 `Algebra.mul`; `check_module_algebra` computes each distinct product of
-its covered product law once.
+its covered product law once, and the local unit of each sample once;
+`check_coassociativity` and `check_coverage_bijections` evaluate each
+coverage rule once per window pair, and `check_partial_coaction` each
+covered coaction rule.
 These counts pin that, so per-token work that comes back shows here as
 a number, not as a slower benchmark.
 """
@@ -19,9 +22,10 @@ from collections import Counter
 import pytest
 
 from mhopf import homr
-from mhopf.algebras import Algebra, group_algebra_plain
+from mhopf.algebras import Algebra, Corner, group_algebra_plain, subgroup_average_idempotent
+from mhopf.coactions import check_partial_coaction, trivial_coaction
 from mhopf.groups import alternating_elements, cyclic_group, subgroup_elements, symmetric_group
-from mhopf.mha import instance_for
+from mhopf.mha import check_coassociativity, check_coverage_bijections, instance_for
 from mhopf.partial_actions import (
     check_enveloping,
     check_partial_action,
@@ -30,6 +34,7 @@ from mhopf.partial_actions import (
     globalize,
 )
 from mhopf.scenarios import _random_hom_samples
+from mhopf.vectors import FinVec
 
 
 def counted_envelope(G, counts):
@@ -130,3 +135,80 @@ def test_module_algebra_products_once(monkeypatch):
     # the distinct products of `covered_product_law` on these samples
     # (window 6): 600 calls before its products were tabled
     assert dict(calls) == {"conv_mul": 265}
+
+
+def test_module_algebra_local_units_once(monkeypatch):
+    calls = Counter()
+    exact = homr.local_unit
+
+    def local_unit(*args):
+        calls["local_unit"] += 1
+        return exact(*args)
+
+    S3 = symmetric_group(3)
+    source, target = instance_for("A_G", S3), group_algebra_plain(S3)
+    samples = _random_hom_samples(random.Random(11), source, target, 5)
+    monkeypatch.setattr(homr, "local_unit", local_unit)
+    results = homr.check_module_algebra(source, target, samples=samples)
+    assert all(r.outcome == "pass" for r in results)
+    # one per nonzero sample: 30 calls when `covered_product_law` asked
+    # again for every pair of samples
+    assert sum(1 for F in samples if F) == 5
+    assert dict(calls) == {"local_unit": 5}
+
+
+COVERAGE_RULES = ("delta_r", "delta_l", "t1_inv", "t2_inv")
+
+
+def counted_rules(instance, counts):
+    """`instance` with each coverage rule counting its calls per pair."""
+    def counted(name):
+        rule = getattr(instance, name)
+
+        def wrapped(a, b):
+            counts[name, a, b] += 1
+            return rule(a, b)
+
+        return wrapped
+
+    return instance._replace(**{name: counted(name) for name in COVERAGE_RULES})
+
+
+@pytest.mark.parametrize("kind", ["A_G", "kG"])
+@pytest.mark.parametrize("group", [cyclic_group(6), symmetric_group(3)], ids=["C6", "S3"])
+@pytest.mark.parametrize("check, rules", [
+    (check_coassociativity, ("delta_l", "delta_r")),
+    (check_coverage_bijections, COVERAGE_RULES),
+], ids=["coassociativity", "coverage_bijections"])
+def test_coverage_rules_once_per_pair(kind, group, check, rules):
+    counts = Counter()
+    result = check(counted_rules(instance_for(kind, group), counts))
+    assert result.outcome == "pass"
+    assert max(counts.values()) == 1
+    per_rule = Counter(name for name, _, _ in counts.elements())
+    # 36 window pairs; before the rules were tabled, coassociativity made
+    # 432 calls of each rule on these groups and coverage_bijections 72
+    assert dict(per_rule) == {name: 36 for name in rules}
+
+
+def test_coaction_rules_once_per_pair():
+    S3 = symmetric_group(3)
+    kS3 = group_algebra_plain(S3)
+    corner = Corner(kS3, subgroup_average_idempotent(kS3, alternating_elements(3)))
+    C = trivial_coaction(corner.algebra, instance_for("A_G", S3), FinVec.basis(S3.identity))
+    counts = Counter()
+
+    def counted(name, rule):
+        def wrapped(x, y):
+            counts[name, x, y] += 1
+            return rule(x, y)
+
+        return wrapped
+
+    C = C._replace(rho_r=counted("rho_r", C.rho_r), rho_l=counted("rho_l", C.rho_l))
+    assert all(r.outcome == "pass" for r in check_partial_coaction(C))
+    assert max(counts.values()) == 1
+    # 2 corner tokens times 6 covers; 244 and 168 calls before the rules
+    # were tabled
+    per_rule = Counter(name for name, _, _ in counts.elements())
+    assert dict(per_rule) == {"rho_r": 12, "rho_l": 12}

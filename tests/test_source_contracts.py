@@ -1,11 +1,13 @@
 """Contracts on the package source, checked on its syntax tree.
 
-Two lists are kept honest here.  The functions that may leave a law
+Three things are kept honest here.  The functions that may leave a law
 `inconclusive` are an allowlist, and README names each of them, so a new
 source of `inconclusive` (a budget, say) cannot slip in unannounced.  And
 every top-level `def` and `class` has a caller inside the package, an
 export in `mhopf/__init__.py`, or a named home on the ROADMAP, so code that
-nothing reaches fails here instead of lingering.
+nothing reaches fails here instead of lingering.  And a rule is applied to
+legs of a tensor in one way, `vectors.on_legs`: no `tensor_map` comes back,
+and no `linear(...)` argument rebuilds tokens with `.map_tokens`.
 """
 
 import ast
@@ -119,3 +121,27 @@ def test_roadmap_homes_are_defined_and_unreached():
     defined, used = definitions_and_uses()
     assert sorted(set(ROADMAP_HOMES) - set(defined)) == []
     assert sorted(set(ROADMAP_HOMES) & used) == []
+
+
+def _calls_map_tokens(node):
+    return any(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == "map_tokens"
+        for sub in ast.walk(node))
+
+
+def test_one_leg_wise_helper():
+    offenders = []
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "tensor_map":
+                offenders.append(f"{module}:{node.lineno}: defines tensor_map")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "linear" and any(
+                    _calls_map_tokens(arg) for arg in node.args + node.keywords):
+                offenders.append(f"{module}:{node.lineno}: map_tokens inside linear(...)")
+    assert offenders == []

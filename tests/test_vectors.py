@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhopf
+from mhopf.algebras import struct_const_algebra
 from mhopf.errors import WindowError
+from mhopf.groups import symmetric_group
+from mhopf.mha import instance_for, mha_from_delta
 from mhopf.vectors import (
     FinVec,
     LinearMapTable,
@@ -21,6 +24,7 @@ from mhopf.vectors import (
     grades,
     lincomb,
     linear,
+    on_legs,
     once_per_pair,
     tensor,
     token_key,
@@ -161,6 +165,84 @@ def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
     assert list(acc) == ["a", "c"]
     axpy(acc, 0, {"a": 5})
     assert acc == {"a": 1, "c": 6}
+
+
+def fun_C2_eu():
+    """Functions on C2 in the basis e = delta_0, u = delta_0 + delta_1,
+    where Delta(e) has mixed coefficients, so T1 and T2 are not monomial
+    (as in `test_mha.py::test_inverse_table_in_a_non_monomial_basis`)."""
+    B = FinVec.basis
+    A = struct_const_algebra(
+        "fun_C2_eu",
+        ("e", "u"),
+        {("e", "e"): B("e"), ("e", "u"): B("e"), ("u", "e"): B("e"), ("u", "u"): B("u")},
+        one=B("u"),
+    )
+    deltas = {
+        "e": FinVec({("e", "e"): 2, ("e", "u"): -1, ("u", "e"): -1, ("u", "u"): 1}),
+        "u": B(("u", "u")),
+    }
+    return mha_from_delta(A, deltas.__getitem__, lambda t: Fraction(1), B)
+
+
+LEG_INSTANCES = {
+    # permutations are tuples, so these tokens are tuples of tuples
+    "A_G:S3": lambda: instance_for("A_G", symmetric_group(3)),
+    "kG:S3": lambda: instance_for("kG", symmetric_group(3)),
+    "fun_C2_eu": fun_C2_eu,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEG_INSTANCES))
+def test_on_legs_matches_the_linear_map_tokens_composition(name):
+    M = LEG_INSTANCES[name]()
+    basis = M.algebra.basis
+    A = M.algebra
+    for a, b, c in itertools.product(basis, repeat=3):
+        # 1 -> 2 legs: T2(a (x) .) on leg 0 and T1(. (x) c) on leg 1
+        t1_bc, t2_ab = M.delta_r(b, c), M.delta_l(a, b)
+        lhs = on_legs(lambda u: M.delta_l(a, u), t1_bc, 0, 1)
+        assert lhs == linear(
+            lambda uv: M.delta_l(a, uv[0]).map_tokens(lambda st: (*st, uv[1])))(t1_bc)
+        rhs = on_legs(lambda t: M.delta_r(t, c), t2_ab, 1, 2)
+        assert rhs == linear(
+            lambda st: M.delta_r(st[1], c).map_tokens(lambda uw: (st[0], *uw)))(t2_ab)
+        # 2 -> 1 legs: the product of legs 1 and 2, then of legs 0 and 1
+        prod = on_legs(lambda u, v: tensor(A.mul_basis(u, v)), lhs, 1, 3)
+        assert prod == linear(
+            lambda tok: A.mul_basis(tok[1], tok[2]).map_tokens(lambda t: (tok[0], t)))(lhs)
+        assert on_legs(lambda u, v: tensor(A.mul_basis(u, v)), rhs, 0, 2) == linear(
+            lambda tok: A.mul_basis(tok[0], tok[1]).map_tokens(lambda t: (t, tok[2])))(rhs)
+    for a, b in itertools.product(basis, repeat=2):
+        # both legs: T1 after its inverse, whose mixed coefficients cancel
+        # on fun_C2_eu
+        back = on_legs(M.delta_r, M.t1_inv(a, b), 0, 2)
+        assert back == linear(lambda uv: M.delta_r(*uv))(M.t1_inv(a, b))
+        assert back == FinVec.basis((a, b))
+
+
+def test_on_legs_keeps_tuple_legs_whole():
+    # a leg that is itself a tuple is one leg: nothing is read off its shape
+    x = FinVec({((0, 1), "a", (2,)): 2, ((1, 0), "a", (2,)): -1})
+    swap = on_legs(lambda p, q: FinVec.basis((q, p)), x, 0, 2)
+    assert swap == FinVec({("a", (0, 1), (2,)): 2, ("a", (1, 0), (2,)): -1})
+    # images that meet are summed, and a sum that cancels is dropped
+    merged = on_legs(lambda p: FinVec.basis(("m",)), x, 0, 1)
+    assert merged == FinVec.basis(("m", "a", (2,)))
+    y = FinVec({((0, 1), "a"): 1, ((1, 0), "a"): -1})
+    cancelled = on_legs(lambda p: FinVec.basis(("m",)), y, 0, 1)
+    assert cancelled == FinVec() and len(cancelled) == 0
+    # an empty run of legs inserts the rule's legs
+    assert on_legs(lambda: FinVec.basis(("new",), 3), x, 1, 1) == FinVec(
+        {((0, 1), "new", "a", (2,)): 6, ((1, 0), "new", "a", (2,)): -3})
+    assert on_legs(lambda p: FinVec.basis(("m",)), x - x, 0, 1) == FinVec()
+
+
+def test_tensor_has_one_leg_per_factor():
+    x = FinVec({(0, 1): 2})
+    assert tensor(x) == FinVec({((0, 1),): 2})
+    assert tensor(x, FinVec.basis("b", 3)) == FinVec({((0, 1), "b"): 6})
+    assert tensor(x, FinVec()) == FinVec()
 
 
 def test_map_tokens():
