@@ -24,6 +24,7 @@ from .vectors import (
     FinVec,
     LinearMapTable,
     bilinear,
+    from_grades,
     graded_mul,
     lincomb,
     once_per_pair,
@@ -183,12 +184,12 @@ def check_associative(algebra: Algebra, window=None) -> CheckResult:
     return CheckResult.law("associativity", witnesses, triples=len(window) ** 3)
 
 
-def local_unit(algebra: Algebra, elems, window=None) -> FinVec:
+def local_unit(algebra: Algebra, elems) -> FinVec:
     """Element e with e*x == x == x*e for every x in elems.
 
     Pointwise algebras: the indicator of the union of supports (closed
     form, works on infinite bases).  Unital algebras: the unit.  Otherwise
-    the linear system is solved over the span of a finite window, free
+    the linear system is solved over the span of the finite basis, free
     coordinates 0; raises NoLocalUnitError when inconsistent.
     """
     elems = [e for e in elems if e]
@@ -198,29 +199,29 @@ def local_unit(algebra: Algebra, elems, window=None) -> FinVec:
         return FinVec((t, 1) for t in spans.collect_tokens(elems))
     if algebra.one is not None:
         return algebra.one
-    window = algebra.basis_window(window)
+    basis = algebra.basis_window()
 
     def stacked(left, right):
-        """left(x_k) on tokens ("L", k, t) plus right(x_k) on ("R", k, t),
-        summed over the elems x_k: all the equations on one vector."""
-        return lincomb(
-            (side(x).map_tokens(lambda t, tag=(name, k): (*tag, t)), 1)
+        """left(x_k) graded by ("L", k) plus right(x_k) by ("R", k), over
+        the elems x_k: all the equations on one vector."""
+        return from_grades({
+            (name, k): side(x)
             for k, x in enumerate(elems)
             for name, side in (("L", left), ("R", right))
-        )
+        })
 
-    # e = sum of c_b b over the window: column b stacks b*x_k and x_k*b,
+    # e = sum of c_b b over the basis: column b stacks b*x_k and x_k*b,
     # the target stacks x_k on both sides
     columns = spans.Span(
         stacked(lambda x, b=b: algebra.mul(b, x), lambda x, b=b: algebra.mul(x, b))
-        for b in map(FinVec.basis, window)
+        for b in map(FinVec.basis, basis)
     )
     sol = columns.coords(stacked(lambda x: x, lambda x: x))
     if sol is None:
         raise NoLocalUnitError(
             f"no local unit in span of window for {len(elems)} elements"
         )
-    return FinVec(zip(window, sol))
+    return FinVec(zip(basis, sol))
 
 
 def check_nondegenerate(algebra: Algebra, window=None) -> CheckResult:
@@ -232,16 +233,10 @@ def check_nondegenerate(algebra: Algebra, window=None) -> CheckResult:
     window = algebra.basis_window(window)
 
     def right_images(tok):
-        return lincomb(
-            (algebra.mul_basis(tok, b).map_tokens(lambda t, b=b: (b, t)), 1)
-            for b in window
-        )
+        return from_grades({b: algebra.mul_basis(tok, b) for b in window})
 
     def left_images(tok):
-        return lincomb(
-            (algebra.mul_basis(b, tok).map_tokens(lambda t, b=b: (b, t)), 1)
-            for b in window
-        )
+        return from_grades({b: algebra.mul_basis(b, tok) for b in window})
 
     left_kernel = spans.kernel_of_map(window, right_images)
     right_kernel = spans.kernel_of_map(window, left_images)
@@ -280,8 +275,8 @@ class Multiplier:
         self.window = left.window
 
     @staticmethod
-    def from_element(algebra: Algebra, z: FinVec, window=None) -> "Multiplier":
-        window = algebra.basis_window(window)
+    def from_element(algebra: Algebra, z: FinVec) -> "Multiplier":
+        window = algebra.basis_window()
         left = LinearMapTable(
             {b: algebra.mul(z, FinVec.basis(b)) for b in window}, window
         )
@@ -298,14 +293,14 @@ class Multiplier:
         return Multiplier(algebra, left, right)
 
     @staticmethod
-    def identity(algebra: Algebra, window=None) -> "Multiplier":
-        window = algebra.basis_window(window)
+    def identity(algebra: Algebra) -> "Multiplier":
+        window = algebra.basis_window()
         table = LinearMapTable({b: FinVec.basis(b) for b in window}, window)
         return Multiplier(algebra, table, table)
 
     @staticmethod
-    def scalar(algebra: Algebra, coeff, window=None) -> "Multiplier":
-        window = algebra.basis_window(window)
+    def scalar(algebra: Algebra, coeff) -> "Multiplier":
+        window = algebra.basis_window()
         table = LinearMapTable(
             {b: FinVec.basis(b, coeff) for b in window}, window
         )
@@ -352,12 +347,12 @@ def multiplier_check(m: Multiplier, window=None) -> CheckResult:
     return CheckResult.law("multiplier_compat", witnesses, window=len(window))
 
 
-def is_central_multiplier(m: Multiplier, window=None) -> bool:
-    """Central in M(A): left and right actions agree (given compat laws)."""
-    window = tuple(window) if window is not None else tuple(m.window)
+def is_central_multiplier(m: Multiplier) -> bool:
+    """Central in M(A): left and right actions agree on every token of the
+    multiplier's window (given compat laws)."""
     return all(
         m.apply_left(FinVec.basis(b)) == m.apply_right(FinVec.basis(b))
-        for b in window
+        for b in m.window
     )
 
 

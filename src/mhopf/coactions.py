@@ -40,7 +40,7 @@ from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_
 from .errors import CapabilityError
 from .mha import MhaInstance
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, lincomb, linear, on_legs, once_per_pair, tensor
+from .vectors import FinVec, bilinear, from_grades, lincomb, linear, on_legs, once_per_pair, tensor
 
 PairRule = Callable[[object, object], FinVec]
 
@@ -87,9 +87,9 @@ class GlobalComodule(NamedTuple):
         return bilinear(self.rho_r)(x, a)
 
 
-def tensor_comodule(target: Algebra, instance: MhaInstance, a_window=None) -> GlobalComodule:
-    """L (x) A with the coaction 1 (x) Delta, covered through delta_r."""
-    window = instance.basis_window(a_window)
+def tensor_comodule(target: Algebra, instance: MhaInstance, window) -> GlobalComodule:
+    """L (x) A with the coaction 1 (x) Delta, covered through delta_r; the
+    ambient's basis pairs the basis of L with the acting `window`."""
     ambient = tensor_square_algebra(target, instance.algebra, window)
 
     def rho_r(pair, a):
@@ -104,13 +104,13 @@ def tensor_comodule(target: Algebra, instance: MhaInstance, a_window=None) -> Gl
     )
 
 
-def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window=None, name=None) -> PartialCoactionData:
+def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec) -> PartialCoactionData:
     """rho(x) = x (x) e for a quasi-counitary idempotent e, E = 1 (x) e.
 
     Over functions-on-G with e = delta_1 this is the basic genuinely
     partial example; over a group algebra with e its unit it is global.
     """
-    window = instance.basis_window(a_window)
+    window = instance.basis_window()
     A = instance.algebra
 
     def rho_r(x, a):
@@ -129,7 +129,7 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec, a_window
         ambient, lambda p: rho_r(*p), lambda p: rho_l(p[1], p[0]), pair_window
     )
     return PartialCoactionData(
-        name=name or f"trivial:{target.name}|{instance.name}",
+        name=f"trivial:{target.name}|{instance.name}",
         target=target,
         instance=instance,
         rho_r=rho_r,
@@ -204,9 +204,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     results = []
 
     def stacked(x):
-        return lincomb(
-            (rho_r(x, a).map_tokens(lambda pair, a=a: (pair, a)), 1) for a in win
-        )
+        return from_grades({a: rho_r(x, a) for a in win})
 
     kern = spans.kernel_of_map(lbasis, stacked)
     results.append(CheckResult.law(
@@ -476,10 +474,10 @@ class CoactionGlobalization(NamedTuple):
         return [self.theta_map[t] for t in self.base.target_basis()]
 
 
-def coaction_globalize(C: PartialCoactionData, e: FinVec, a_window=None) -> CoactionGlobalization:
+def coaction_globalize(C: PartialCoactionData, e: FinVec) -> CoactionGlobalization:
     """Build the envelope of a partial coaction with a quasi-counitary
     idempotent e; nothing here checks those laws of its input."""
-    win = C.window(a_window)
+    win = C.window()
     com = tensor_comodule(C.target, C.instance, win)
     theta_map = {x: C.rho_r_vec(FinVec.basis(x), e) for x in C.target_basis()}
     gens = [theta_map[x] for x in C.target_basis()]

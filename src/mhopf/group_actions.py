@@ -211,7 +211,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
             witnesses.append({"g": g, "law": "multiplier compatibility"})
         if not is_idempotent_multiplier(m):
             witnesses.append({"g": g, "law": "idempotent"})
-        if not is_central_multiplier(m, window=window):
+        if not is_central_multiplier(m):
             witnesses.append({"g": g, "law": "central"})
     results.append(CheckResult.law("sigma_central_idempotent", witnesses))
 
@@ -326,7 +326,7 @@ def to_group(Q) -> PartialGroupAction:
         m = Q.e_map(g)
         if not is_idempotent_multiplier(m):
             raise StructuralError(f"range multiplier at {g} is not idempotent")
-        if not is_central_multiplier(m, window=window):
+        if not is_central_multiplier(m):
             bad_tok = next(
                 t for t in window
                 if m.apply_left(FinVec.basis(t)) != m.apply_right(FinVec.basis(t))
@@ -431,8 +431,7 @@ def conjugation_pga(ambient: GroupSpec, involution) -> PartialGroupAction:
         raise StructuralError("conjugating element must square to the identity")
     flip = cyclic_group(2)
     algebra = group_algebra_plain(ambient)
-    window = algebra.basis_window(None)
-    sigma = {g: Multiplier.identity(algebra, window=window) for g in flip.elements}
+    sigma = {g: Multiplier.identity(algebra) for g in flip.elements}
 
     def conj(vec):
         return vec.map_tokens(lambda t: ambient.mul(ambient.mul(involution, t), involution))
@@ -453,7 +452,7 @@ def zero_corner_pga() -> PartialGroupAction:
         return FinVec.basis(t) if t == z else FinVec()
 
     sigma = {
-        0: Multiplier.identity(algebra, window=window),
+        0: Multiplier.identity(algebra),
         1: Multiplier.from_rules(algebra, proj, proj, window=window),
     }
 

@@ -47,7 +47,7 @@ from .groups import GroupSpec, closure, is_normal
 from .homr import module_act, require_tables
 from .mha import MhaInstance, function_algebra
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, from_grades, lincomb, linear, once_per_pair, token_key
+from .vectors import FinVec, bilinear, from_grades, linear, once_per_pair, token_key
 
 ActRule = Callable[[object, object], FinVec]
 
@@ -56,11 +56,10 @@ MAX_CANDIDATES = 2048
 
 
 def _act_vec(self, a: FinVec, x: FinVec) -> FinVec:
-    """Bilinear extension of `self.act`; bare tokens count as basis vectors."""
+    """Bilinear extension of `self.act`; a bare acting token `a` counts as
+    its basis vector."""
     if not isinstance(a, FinVec):
         a = FinVec.basis(a)
-    if not isinstance(x, FinVec):
-        x = FinVec.basis(x)
     return bilinear(self.act)(a, x)
 
 
@@ -119,8 +118,6 @@ class Globalization(NamedTuple):
         return pick_window(window, lambda: self.a_window)
 
     def theta(self, x: FinVec) -> FinVec:
-        if not isinstance(x, FinVec):
-            x = FinVec.basis(x)
         return linear(self.theta_map.__getitem__)(x)
 
     def pi(self, v: FinVec) -> FinVec:
@@ -162,17 +159,13 @@ def indicator_verdict(name, P: PartialActionData, ground, found, cap, fail_note)
     return CheckResult.law(name, gap if decided else [], gap, witness=witness)
 
 
-def check_partial_action(
-    P: PartialActionData,
-    a_window=None,
-    l_window=None,
-) -> list[CheckResult]:
+def check_partial_action(P: PartialActionData, a_window=None) -> list[CheckResult]:
     """The four defining laws, the multiplier axioms for e, and the
     globality characterization (e = counit exactly when the module laws
     hold globally)."""
     M = P.instance
     aw = P.acting_window(a_window)
-    lw = P.algebra.basis_window(l_window)
+    lw = P.algebra.basis_window()
     results = []
 
     # x (b . y) does not depend on a: one product per (b, x, y)
@@ -232,7 +225,7 @@ def check_partial_action(
         MAX_CANDIDATES, "no indicator over the full basis satisfies both clauses"))
 
     def stacked(x_tok):
-        return lincomb((P.act(a, x_tok).map_tokens(lambda t, a=a: (a, t)), 1) for a in aw)
+        return from_grades({a: P.act(a, x_tok) for a in aw})
 
     kernel = spans.kernel_of_map(lw, stacked)
     results.append(CheckResult.law(
@@ -278,17 +271,13 @@ def check_partial_action(
     return results
 
 
-def check_symmetric(
-    P: PartialActionData,
-    a_window=None,
-    l_window=None,
-) -> list[CheckResult]:
+def check_symmetric(P: PartialActionData, a_window=None) -> list[CheckResult]:
     """The three symmetric laws; needs a regular acting instance."""
     M = P.instance
     if not M.is_regular():
         raise CapabilityError(f"{M.name} is not regular")
     aw = P.acting_window(a_window)
-    lw = P.algebra.basis_window(l_window)
+    lw = P.algebra.basis_window()
     results = []
 
     # (b . x) y does not depend on a: one product per (b, x, y)
@@ -424,13 +413,11 @@ def global_AG_on_kG(group: GroupSpec) -> GlobalAction:
     )
 
 
-def as_partial(ctx: GlobalAction, a_window=None) -> PartialActionData:
+def as_partial(ctx: GlobalAction) -> PartialActionData:
     """View a global module algebra as a partial one with e = counit."""
-    aw = tuple(ctx.instance.basis_window(a_window))
-    lw = ctx.algebra.basis_window(None) if ctx.algebra.is_finite() else None
 
     def e_map(a):
-        return Multiplier.scalar(ctx.algebra, ctx.instance.counit(a), window=lw)
+        return Multiplier.scalar(ctx.algebra, ctx.instance.counit(a))
 
     return PartialActionData(
         name=f"global:{ctx.name}",
@@ -438,7 +425,7 @@ def as_partial(ctx: GlobalAction, a_window=None) -> PartialActionData:
         algebra=ctx.algebra,
         act=ctx.act,
         e_map=e_map,
-        a_window=aw,
+        a_window=tuple(ctx.instance.basis_window()),
         aux={"context": ctx},
     )
 
@@ -474,18 +461,14 @@ def _projection_mismatches(aw, vecs, act_vec, mul, proj):
                 yield law, a, b, v, w, lhs, rhs
 
 
-def check_a_projection(
-    proj: AProjection,
-    a_window=None,
-    r_window=None,
-) -> list[CheckResult]:
+def check_a_projection(proj: AProjection, a_window=None) -> list[CheckResult]:
     """Idempotence, multiplicativity, image span, and the defining
     commutation of projection with nested actions.  The products of the
     two commutation identities are computed once per (b, x, y)
     (`_projection_mismatches`)."""
     ctx = proj.context
     aw = ctx.instance.basis_window(a_window)
-    rw = ctx.algebra.basis_window(r_window)
+    rw = ctx.algebra.basis_window()
     results = []
 
     witnesses = []
@@ -597,12 +580,11 @@ def induce_from_projection(proj: AProjection, a_window=None) -> PartialActionDat
 
 
 def quasi_unitary_witness(P: PartialActionData, elems, a_window=None,
-                          ground=None, max_candidates=MAX_CANDIDATES):
-    """Search b with b.x = x and (ab).x = a.x for all listed x and windowed
-    a.  Returns (witness or None, exhausted flag)."""
+                          max_candidates=MAX_CANDIDATES):
+    """Search the acting window for an indicator b with b.x = x and
+    (ab).x = a.x for all listed x and windowed a.  Returns (witness or
+    None, exhausted flag)."""
     aw = P.acting_window(a_window)
-    ground = tuple(ground) if ground is not None else aw
-    elems = [e if isinstance(e, FinVec) else FinVec.basis(e) for e in elems]
 
     def pred(b):
         for x in elems:
@@ -614,36 +596,31 @@ def quasi_unitary_witness(P: PartialActionData, elems, a_window=None,
                     return False
         return True
 
-    return search_indicator_witness(ground, pred, max_candidates)
+    return search_indicator_witness(aw, pred, max_candidates)
 
 
 def check_quasi_unitary(P: PartialActionData, elems, a_window=None,
-                        ground=None, max_candidates=MAX_CANDIDATES) -> CheckResult:
-    found = quasi_unitary_witness(
-        P, elems, a_window=a_window, ground=ground, max_candidates=max_candidates)
-    gtoks = tuple(ground) if ground is not None else P.acting_window(a_window)
+                        max_candidates=MAX_CANDIDATES) -> CheckResult:
+    found = quasi_unitary_witness(P, elems, a_window=a_window, max_candidates=max_candidates)
     return indicator_verdict(
-        "quasi_unitary", P, gtoks, found, max_candidates,
+        "quasi_unitary", P, P.acting_window(a_window), found, max_candidates,
         "subset lattice of the full basis exhausted without witness")
 
 
-def phi_embed(P: PartialActionData, x, witness=None, a_window=None) -> FinVec:
+def phi_embed(P: PartialActionData, x: FinVec) -> FinVec:
     """theta(x): the finitely supported table g |-> delta_g . x, supported
-    inside any quasi-unit witness for x, as a vector on (g, t) tokens."""
+    inside the quasi-unit witness for x, as a vector on (g, t) tokens."""
     require_tables(P.instance)
-    if not isinstance(x, FinVec):
-        x = FinVec.basis(x)
+    witness, exhausted = quasi_unitary_witness(P, [x])
     if witness is None:
-        witness, exhausted = quasi_unitary_witness(P, [x], a_window=a_window)
-        if witness is None:
-            raise CapabilityError(
-                "quasi-unit witness search "
-                + ("exhausted" if exhausted else "capped")
-                + "; embedding is inconclusive")
+        raise CapabilityError(
+            "quasi-unit witness search "
+            + ("exhausted" if exhausted else "capped")
+            + "; embedding is inconclusive")
     return from_grades({g: P.act_vec(FinVec.basis(g), x) for g in witness.support()})
 
 
-def globalize(P: PartialActionData, a_window=None) -> Globalization:
+def globalize(P: PartialActionData) -> Globalization:
     """Standard envelope: translates of the table embedding inside the
     convolution algebra of target-valued functions, acted on by
     `homr.module_act`.  The input is taken to be a symmetric partial
@@ -653,9 +630,9 @@ def globalize(P: PartialActionData, a_window=None) -> Globalization:
         raise CapabilityError("standard envelope needs a finite acting group")
     if P.algebra.basis is None:
         raise CapabilityError("standard envelope needs a finite target basis")
-    aw = tuple(P.acting_window(a_window))
+    aw = tuple(P.acting_window())
     env = convolution_algebra(group, P.algebra)
-    theta_map = {x: phi_embed(P, x, a_window=aw) for x in P.algebra.basis}
+    theta_map = {x: phi_embed(P, FinVec.basis(x)) for x in P.algebra.basis}
 
     pi_rule = linear(lambda tok: FinVec.basis(tok[1]))
 
@@ -682,10 +659,10 @@ def globalize(P: PartialActionData, a_window=None) -> Globalization:
 JUNK = "junk"
 
 
-def junk_globalization(P: PartialActionData, a_window=None) -> Globalization:
+def junk_globalization(P: PartialActionData) -> Globalization:
     """Standard envelope padded with a zero-product summand that the
     projection kills: every minimality battery finds it."""
-    std = globalize(P, a_window=a_window)
+    std = globalize(P)
     group = P.instance.algebra.group
     lbasis = P.algebra.basis
     tokens = tuple(std.algebra.basis) + tuple((JUNK, t) for t in lbasis)

@@ -12,6 +12,12 @@ standard envelope of the S3 corner action checked on a one-token window,
 where `env_product_law` is ``inconclusive`` because three generators
 have no cover inside the window.
 
+``registry_fixtures_S3`` is all passing lines.  It runs the four registry
+entries that no other scenario reaches: the ``lambda`` and ``from_global``
+action constructors (the latter through ``partial_actions.as_partial``),
+the ``conjugation`` group action constructor, and the ``module_algebra``
+check.
+
 ``windowed_fN_S3`` pins today's windowed verdicts, including false failures:
 on a partial window the existence and span laws (``e_left_compatibility``,
 ``nondegenerate``, ``right_span``) report ``fail`` on a lawful action.

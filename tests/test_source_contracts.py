@@ -1,13 +1,16 @@
 """Contracts on the package source, checked on its syntax tree.
 
-Three things are kept honest here.  The functions that may leave a law
+Four things are kept honest here.  The functions that may leave a law
 `inconclusive` are an allowlist, and README names each of them, so a new
 source of `inconclusive` (a budget, say) cannot slip in unannounced.  And
 every top-level `def` and `class` has a caller inside the package, an
 export in `mhopf/__init__.py`, or a named home on the ROADMAP, so code that
 nothing reaches fails here instead of lingering.  And a rule is applied to
 legs of a tensor in one way, `vectors.on_legs`: no `tensor_map` comes back,
-and no `linear(...)` argument rebuilds tokens with `.map_tokens`.
+and no `linear(...)` argument rebuilds tokens with `.map_tokens`.  And
+every defaulted parameter of a top-level function or method is passed by
+some call in the package or its tests, so an option that every caller
+leaves at its default, and the branches it keeps alive, do not linger.
 """
 
 import ast
@@ -17,6 +20,7 @@ import mhopf
 
 SRC = Path(mhopf.__file__).resolve().parent
 README = SRC.parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 INCONCLUSIVE_SOURCES = {
     ("mha", "check_regular"),
@@ -145,3 +149,67 @@ def test_one_leg_wise_helper():
                     _calls_map_tokens(arg) for arg in node.args + node.keywords):
                 offenders.append(f"{module}:{node.lineno}: map_tokens inside linear(...)")
     assert offenders == []
+
+
+def _defaulted(fn, bound):
+    """(name, position in a call) of each defaulted parameter of `fn`;
+    `bound` leading parameters are not passed by position (self), and a
+    keyword-only parameter has no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield positional[i].arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _callables():
+    """(label, name it is called by, def, bound) for every top-level
+    function outside ROADMAP_HOMES and every method of a top-level class."""
+    for module, tree in modules():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name not in ROADMAP_HOMES:
+                yield f"{module}.{top.name}", top.name, top, 0
+            elif isinstance(top, ast.ClassDef):
+                for fn in top.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    callee = top.name if fn.name == "__init__" else fn.name
+                    yield f"{module}.{top.name}.{fn.name}", callee, fn, 0 if static else 1
+
+
+def _calls_by_name():
+    calls = {}
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, param, position):
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_passed_somewhere():
+    """A call is matched to a definition by name alone, so a name shared by
+    several definitions counts the calls of all of them."""
+    calls = _calls_by_name()
+    unused = [
+        f"{label}({param})"
+        for label, callee, fn, bound in _callables()
+        for param, position in _defaulted(fn, bound)
+        if not any(_passes(c, param, position) for c in calls.get(callee, ()))
+    ]
+    assert unused == []
