@@ -33,21 +33,10 @@ from .vectors import (
 )
 
 
-def pick_window(window, default: Callable[[], tuple]) -> tuple:
-    """The one window rule: an integer n means the first n tokens of the
-    default window, a tuple is used as given, None means the default
-    window.  `default` is called only when the window depends on it."""
-    if window is None:
-        return default()
-    if isinstance(window, int):
-        return default()[:window]
-    return tuple(window)
-
-
 class Algebra(NamedTuple):
     name: str
     mul_basis: Callable[[object, object], FinVec]
-    basis: Optional[tuple] = None
+    basis: Optional[tuple]
     one: Optional[FinVec] = None
     pointwise: bool = False
     group: Optional[GroupSpec] = None
@@ -59,7 +48,14 @@ class Algebra(NamedTuple):
         return self.basis is not None
 
     def basis_window(self, window=None) -> tuple:
-        return pick_window(window, self._full_basis)
+        """The one window rule: an integer n means the first n tokens of the
+        basis, a tuple is used as given, None means the whole basis.  The
+        basis is read only when the window depends on it."""
+        if window is None:
+            return self._full_basis()
+        if isinstance(window, int):
+            return self._full_basis()[:window]
+        return tuple(window)
 
     def _full_basis(self) -> tuple:
         if self.basis is None:
@@ -112,20 +108,15 @@ def struct_const_algebra(name, basis, table, one=None) -> Algebra:
     return Algebra(name=name, mul_basis=mul_basis, basis=basis, one=one)
 
 
-def tensor_square_algebra(left: Algebra, right: Algebra, right_window=None) -> Algebra:
+def tensor_square_algebra(left: Algebra, right: Algebra) -> Algebra:
     """Tensor product algebra on pair tokens (componentwise product)."""
     basis = None
-    if left.basis is not None:
-        try:
-            rbasis = right.basis_window(right_window)
-        except WindowError:
-            rbasis = None
-        if rbasis is not None:
-            basis = tuple(
-                (i, j)
-                for i in sorted(left.basis, key=token_key)
-                for j in sorted(rbasis, key=token_key)
-            )
+    if left.basis is not None and right.basis is not None:
+        basis = tuple(
+            (i, j)
+            for i in sorted(left.basis, key=token_key)
+            for j in sorted(right.basis, key=token_key)
+        )
 
     def mul_basis(p, q):
         (i, j), (k, l) = p, q
@@ -291,12 +282,6 @@ class Multiplier:
         left = LinearMapTable({b: left_rule(b) for b in window}, window)
         right = LinearMapTable({b: right_rule(b) for b in window}, window)
         return Multiplier(algebra, left, right)
-
-    @staticmethod
-    def identity(algebra: Algebra) -> "Multiplier":
-        window = algebra.basis_window()
-        table = LinearMapTable({b: FinVec.basis(b) for b in window}, window)
-        return Multiplier(algebra, table, table)
 
     @staticmethod
     def scalar(algebra: Algebra, coeff) -> "Multiplier":

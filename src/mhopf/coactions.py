@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import spans
-from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_check, pick_window, tensor_square_algebra
+from .algebras import Algebra, Multiplier, is_idempotent_multiplier, multiplier_check, tensor_square_algebra
 from .errors import CapabilityError
 from .mha import MhaInstance
 from .reports import CheckResult
@@ -58,12 +58,6 @@ class PartialCoactionData(NamedTuple):
     rho_r: PairRule
     rho_l: PairRule
     E: Multiplier
-    a_window: Optional[tuple] = None
-
-    def window(self, window=None):
-        if self.a_window is not None:
-            return pick_window(window, lambda: tuple(self.a_window))
-        return self.instance.basis_window(window)
 
     def target_basis(self):
         if self.target.basis is None:
@@ -87,10 +81,10 @@ class GlobalComodule(NamedTuple):
         return bilinear(self.rho_r)(x, a)
 
 
-def tensor_comodule(target: Algebra, instance: MhaInstance, window) -> GlobalComodule:
+def tensor_comodule(target: Algebra, instance: MhaInstance) -> GlobalComodule:
     """L (x) A with the coaction 1 (x) Delta, covered through delta_r; the
-    ambient's basis pairs the basis of L with the acting `window`."""
-    ambient = tensor_square_algebra(target, instance.algebra, window)
+    ambient's basis pairs the basis of L with the basis of A."""
+    ambient = tensor_square_algebra(target, instance.algebra)
 
     def rho_r(pair, a):
         l, u = pair
@@ -121,7 +115,7 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec) -> Parti
 
     if target.basis is None:
         raise CapabilityError("trivial coaction needs a finite coacted algebra")
-    ambient = tensor_square_algebra(target, A, window)
+    ambient = tensor_square_algebra(target, A)
     pair_window = tuple((l, u) for l in target.basis for u in window)
 
     # E = 1 (x) e multiplies a pair (l, u) exactly as rho covers l by u
@@ -135,7 +129,6 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec) -> Parti
         rho_r=rho_r,
         rho_l=rho_l,
         E=E,
-        a_window=window,
     )
 
 
@@ -193,7 +186,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
     """Full axiom battery for a covered partial coaction.  rho_r, rho_l
     and the slot maps of E are tabulated for the call, each pair
     evaluated once."""
-    win = C.window(window)
+    win = C.instance.basis_window(window)
     lbasis = C.target_basis()
     L = C.target
     inst = C.instance
@@ -291,7 +284,7 @@ def check_partial_coaction(C: PartialCoactionData, window=None):
 
 def check_coaction_range(C: PartialCoactionData, window=None):
     """rho(L)(1 (x) A) = E(L (x) A) and its left-handed mirror, exactly."""
-    win = C.window(window)
+    win = C.instance.basis_window(window)
     lbasis = C.target_basis()
     rho_right = [C.rho_r(x, a) for x in lbasis for a in win]
     rho_left = [C.rho_l(a, x) for x in lbasis for a in win]
@@ -462,7 +455,6 @@ class CoactionGlobalization(NamedTuple):
     theta_map: Mapping
     e: FinVec
     pi_rule: Callable[[FinVec], FinVec]
-    a_window: tuple
 
     def theta(self, x: FinVec) -> FinVec:
         return linear(self.theta_map.__getitem__)(x)
@@ -477,11 +469,10 @@ class CoactionGlobalization(NamedTuple):
 def coaction_globalize(C: PartialCoactionData, e: FinVec) -> CoactionGlobalization:
     """Build the envelope of a partial coaction with a quasi-counitary
     idempotent e; nothing here checks those laws of its input."""
-    win = C.window()
-    com = tensor_comodule(C.target, C.instance, win)
+    com = tensor_comodule(C.target, C.instance)
     theta_map = {x: C.rho_r_vec(FinVec.basis(x), e) for x in C.target_basis()}
     gens = [theta_map[x] for x in C.target_basis()]
-    q_basis = generated_subcomodule(com, gens, win)
+    q_basis = generated_subcomodule(com, gens)
 
     A = C.instance.algebra
 
@@ -497,7 +488,6 @@ def coaction_globalize(C: PartialCoactionData, e: FinVec) -> CoactionGlobalizati
         theta_map=theta_map,
         e=e,
         pi_rule=pi_rule,
-        a_window=win,
     )
 
 
@@ -519,7 +509,7 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
     of each basis vector of Q is computed once per call and shared by
     `pi_projection`, `e_projection` and `unital_specialization`."""
     C = G.base
-    win = pick_window(window, lambda: G.a_window)
+    win = C.instance.basis_window(window)
     lbasis = C.target_basis()
     com = G.comodule
     results = []

@@ -45,9 +45,6 @@ class PartialGroupAction(NamedTuple):
     alpha: Mapping
     corners: Mapping
 
-    def corner(self, g) -> tuple:
-        return self.corners[g]
-
 
 def sigma_image_basis(algebra: Algebra, m: Multiplier) -> tuple:
     """Basis of m(R), computed from the left action on the algebra basis."""
@@ -309,7 +306,6 @@ def to_hopf(P: PartialGroupAction):
         algebra=P.algebra,
         act=once_per_pair(lambda g, t: gamma_element(P, g, FinVec.basis(t))),
         e_map=lambda g: P.sigma[g],
-        a_window=P.group.elements,
     )
 
 
@@ -431,7 +427,7 @@ def conjugation_pga(ambient: GroupSpec, involution) -> PartialGroupAction:
         raise StructuralError("conjugating element must square to the identity")
     flip = cyclic_group(2)
     algebra = group_algebra_plain(ambient)
-    sigma = {g: Multiplier.identity(algebra) for g in flip.elements}
+    sigma = {g: Multiplier.scalar(algebra, 1) for g in flip.elements}
 
     def conj(vec):
         return vec.map_tokens(lambda t: ambient.mul(ambient.mul(involution, t), involution))
@@ -452,7 +448,7 @@ def zero_corner_pga() -> PartialGroupAction:
         return FinVec.basis(t) if t == z else FinVec()
 
     sigma = {
-        0: Multiplier.identity(algebra),
+        0: Multiplier.scalar(algebra, 1),
         1: Multiplier.from_rules(algebra, proj, proj, window=window),
     }
 

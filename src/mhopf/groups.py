@@ -22,7 +22,7 @@ class GroupSpec(NamedTuple):
     identity: object
     mul: Callable[[object, object], object]
     inv: Callable[[object], object]
-    elements: Optional[tuple] = None
+    elements: Optional[tuple]
 
     def is_finite(self) -> bool:
         return self.elements is not None

@@ -2,9 +2,9 @@
 
 An element f(_a) acts on the source by b |-> f(ba).  When right
 multiplication by any fixed element has finite-dimensional image (the
-function-algebra family; flagged hom_right_finite on the instance), every
-such element collapses to a finitely supported table F(g) = f(delta_g a),
-and that table is the whole extensional content of the map.  A table is a
+function-algebra family, whose algebra is pointwise), every such element
+collapses to a finitely supported table F(g) = f(delta_g a), and that
+table is the whole extensional content of the map.  A table is a
 vector of `algebras.convolution_algebra` on tokens (g, t): the
 coefficient of (g, t) is that of t in F(g).  The standard envelope lives
 in the same algebra, so the convolution laws below certify the product the
@@ -42,7 +42,7 @@ Rule = Callable[[object], FinVec]
 def require_tables(M: MhaInstance) -> None:
     """Raise unless the right-multiplier homomorphisms of `M` collapse to
     finite tables; called wherever a table is built."""
-    if not M.hom_right_finite:
+    if not M.algebra.pointwise:
         raise CapabilityError(
             f"{M.name} does not collapse right multiplications to finite tables"
         )

@@ -42,12 +42,11 @@ class MhaInstance(NamedTuple):
     t2_inv: PairRule
     counit: Callable[[object], Fraction]
     antipode: Callable[[object], FinVec]
-    antipode_inv: Optional[Callable[[object], FinVec]] = None
-    delta_r_flip: Optional[PairRule] = None
-    delta_l_flip: Optional[PairRule] = None
-    cov_iS: Optional[PairRule] = None
-    cov_Sinv: Optional[PairRule] = None
-    hom_right_finite: bool = False
+    antipode_inv: Optional[Callable[[object], FinVec]]
+    delta_r_flip: Optional[PairRule]
+    delta_l_flip: Optional[PairRule]
+    cov_iS: PairRule
+    cov_Sinv: Optional[PairRule]
 
     def is_regular(self) -> bool:
         return (
@@ -86,8 +85,6 @@ def sweedler_cov(instance: MhaInstance, pattern: str, a, b) -> FinVec:
         rule = instance.delta_l
     elif pattern == "iS":
         rule = instance.cov_iS
-        if rule is None:
-            raise CapabilityError(f"{instance.name} lacks the iS covered expansion")
     elif pattern == "Sinv":
         rule = instance.cov_Sinv
         if rule is None or not instance.is_regular():
@@ -121,7 +118,6 @@ def function_algebra(group: GroupSpec) -> MhaInstance:
         delta_l_flip=lambda a, r: FinVec.basis((mul(r, inv(a)), a)),
         cov_iS=lambda p, q: FinVec.basis((mul(p, q), q)),
         cov_Sinv=lambda p, q: FinVec.basis((mul(q, p), q)),
-        hom_right_finite=True,
     )
 
 
@@ -143,7 +139,6 @@ def group_algebra(group: GroupSpec) -> MhaInstance:
         delta_l_flip=lambda a, g: FinVec.basis((g, mul(a, g))),
         cov_iS=lambda g, h: FinVec.basis((g, mul(inv(g), h))),
         cov_Sinv=lambda g, h: FinVec.basis((g, mul(inv(g), h))),
-        hom_right_finite=False,
     )
 
 
@@ -215,7 +210,6 @@ def mha_from_delta(
         delta_l_flip=delta_l_flip,
         cov_iS=cov_iS,
         cov_Sinv=None,
-        hom_right_finite=False,
     )
 
 

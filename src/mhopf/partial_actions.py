@@ -14,14 +14,18 @@ expansions, so all checks are finite exact computations:
     (vi)   (b.x) e(a)    = sum a_2 . (S^{-1}(a_1) b . x)
     (vii)  L e(A) within A.L
 
+The action is global exactly when e(a) = eps(a) 1, so a global module
+algebra is a partial action whose e gives counit scalars.  Every battery
+acts through the window of the acting instance, `instance.basis_window`.
+
 The globalization machinery realizes the target inside a module algebra of
 finitely supported functions: theta(x) has table g |-> delta_g . x, the
 envelope is spanned by translates a |> theta(x), and the projection
 collapses a table back into the target.
 
 The bilinear extension `act_vec` of a basis rule `act` is the module
-function `_act_vec`, bound as a method in `PartialActionData`,
-`GlobalAction` and `Globalization`.
+function `_act_vec`, bound as a method in `PartialActionData` and
+`Globalization`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple
 
 from . import spans
 from .algebras import (
@@ -39,7 +43,6 @@ from .algebras import (
     convolution_algebra,
     group_algebra_plain,
     multiplier_check,
-    pick_window,
     subgroup_average_idempotent,
 )
 from .errors import CapabilityError, StructuralError
@@ -69,22 +72,7 @@ class PartialActionData(NamedTuple):
     algebra: Algebra
     act: ActRule
     e_map: Callable[[object], Multiplier]
-    a_window: Optional[tuple] = None
     aux: Mapping = MappingProxyType({})
-
-    act_vec = _act_vec
-
-    def acting_window(self, window=None) -> tuple:
-        if self.a_window is not None:
-            return pick_window(window, lambda: self.a_window)
-        return self.instance.basis_window(window)
-
-
-class GlobalAction(NamedTuple):
-    name: str
-    instance: MhaInstance
-    algebra: Algebra
-    act: ActRule
 
     act_vec = _act_vec
 
@@ -93,7 +81,7 @@ class AProjection(NamedTuple):
     """Multiplication by a central idempotent `idem` of the acted algebra,
     with a basis of its image."""
 
-    context: GlobalAction
+    context: PartialActionData
     idem: FinVec
     image: tuple
 
@@ -110,12 +98,8 @@ class Globalization(NamedTuple):
     pi_rule: Callable[[FinVec], FinVec]
     generators: tuple
     gen_labels: tuple
-    a_window: tuple
 
     act_vec = _act_vec
-
-    def acting_window(self, window=None) -> tuple:
-        return pick_window(window, lambda: self.a_window)
 
     def theta(self, x: FinVec) -> FinVec:
         return linear(self.theta_map.__getitem__)(x)
@@ -164,7 +148,7 @@ def check_partial_action(P: PartialActionData, a_window=None) -> list[CheckResul
     globality characterization (e = counit exactly when the module laws
     hold globally)."""
     M = P.instance
-    aw = P.acting_window(a_window)
+    aw = M.basis_window(a_window)
     lw = P.algebra.basis_window()
     results = []
 
@@ -189,21 +173,18 @@ def check_partial_action(P: PartialActionData, a_window=None) -> list[CheckResul
     action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
 
     witnesses = []
-    if M.cov_iS is None:
-        witnesses.append({"missing": "iS covered expansion"})
-    else:
-        for a in aw:
-            for b in aw:
-                for x in lw:
-                    lhs = P.e_map(a).apply_left(P.act(b, x))
-                    rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(M.cov_iS(a, b))
-                    if lhs != rhs:
-                        witnesses.append({"a": a, "b": b, "x": x,
-                                          "lhs": lhs, "rhs": rhs})
+    for a in aw:
+        for b in aw:
             for x in lw:
-                img = P.e_map(a).apply_left(FinVec.basis(x))
-                if not action_span.contains(img):
-                    witnesses.append({"a": a, "x": x, "outside_span": img})
+                lhs = P.e_map(a).apply_left(P.act(b, x))
+                rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(M.cov_iS(a, b))
+                if lhs != rhs:
+                    witnesses.append({"a": a, "b": b, "x": x,
+                                      "lhs": lhs, "rhs": rhs})
+        for x in lw:
+            img = P.e_map(a).apply_left(FinVec.basis(x))
+            if not action_span.contains(img):
+                witnesses.append({"a": a, "x": x, "outside_span": img})
     results.append(CheckResult.law(
         "e_left_compatibility", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
@@ -276,7 +257,7 @@ def check_symmetric(P: PartialActionData, a_window=None) -> list[CheckResult]:
     M = P.instance
     if not M.is_regular():
         raise CapabilityError(f"{M.name} is not regular")
-    aw = P.acting_window(a_window)
+    aw = M.basis_window(a_window)
     lw = P.algebra.basis_window()
     results = []
 
@@ -360,7 +341,6 @@ def example_fN(group: GroupSpec, subgroup) -> PartialActionData:
         algebra=corner.algebra,
         act=act,
         e_map=e_map,
-        a_window=tuple(group.elements),
         aux={"corner": corner, "subgroup": N, "idempotent": f, "rep": rep},
     )
 
@@ -392,41 +372,28 @@ def lambda_action(group: GroupSpec, subgroup, target: Algebra) -> PartialActionD
         algebra=target,
         act=act,
         e_map=e_map,
-        a_window=tuple(group.elements),
         aux={"subgroup": N},
     )
 
 
-def global_AG_on_kG(group: GroupSpec) -> GlobalAction:
+def global_AG_on_kG(group: GroupSpec) -> PartialActionData:
     """delta_p |> h = delta_p(h) h, the evaluation action on the group
-    algebra."""
+    algebra: a global module algebra, so e(delta_p) = eps(delta_p) 1."""
     kG = group_algebra_plain(group)
+    instance = function_algebra(group)
 
     def act(p, h):
         return FinVec.basis(h) if p == h else FinVec()
 
-    return GlobalAction(
-        name=f"evaluation:{group.name}",
-        instance=function_algebra(group),
-        algebra=kG,
-        act=act,
-    )
-
-
-def as_partial(ctx: GlobalAction) -> PartialActionData:
-    """View a global module algebra as a partial one with e = counit."""
-
-    def e_map(a):
-        return Multiplier.scalar(ctx.algebra, ctx.instance.counit(a))
+    def e_map(p):
+        return Multiplier.scalar(kG, instance.counit(p))
 
     return PartialActionData(
-        name=f"global:{ctx.name}",
-        instance=ctx.instance,
-        algebra=ctx.algebra,
-        act=ctx.act,
+        name=f"evaluation:{group.name}",
+        instance=instance,
+        algebra=kG,
+        act=act,
         e_map=e_map,
-        a_window=tuple(ctx.instance.basis_window()),
-        aux={"context": ctx},
     )
 
 
@@ -461,13 +428,13 @@ def _projection_mismatches(aw, vecs, act_vec, mul, proj):
                 yield law, a, b, v, w, lhs, rhs
 
 
-def check_a_projection(proj: AProjection, a_window=None) -> list[CheckResult]:
+def check_a_projection(proj: AProjection) -> list[CheckResult]:
     """Idempotence, multiplicativity, image span, and the defining
     commutation of projection with nested actions.  The products of the
     two commutation identities are computed once per (b, x, y)
     (`_projection_mismatches`)."""
     ctx = proj.context
-    aw = ctx.instance.basis_window(a_window)
+    aw = ctx.instance.basis_window()
     rw = ctx.algebra.basis_window()
     results = []
 
@@ -515,7 +482,7 @@ def check_a_projection(proj: AProjection, a_window=None) -> list[CheckResult]:
     return results
 
 
-def central_idempotent_projection(ctx: GlobalAction, idem: FinVec) -> AProjection:
+def central_idempotent_projection(ctx: PartialActionData, idem: FinVec) -> AProjection:
     alg = ctx.algebra
     if alg.mul(idem, idem) != idem:
         raise StructuralError("not idempotent")
@@ -524,19 +491,19 @@ def central_idempotent_projection(ctx: GlobalAction, idem: FinVec) -> AProjectio
     return AProjection(context=ctx, idem=idem, image=tuple(image))
 
 
-def induce_from_projection(proj: AProjection, a_window=None) -> PartialActionData:
+def induce_from_projection(proj: AProjection) -> PartialActionData:
     """a . x := pi(a |> x) on the image of an A-projection, in the
     coordinates of its corner, with the multiplier e(a) assembled from the
     covered one-sided formulas."""
     ctx = proj.context
     M = ctx.instance
-    pre = check_a_projection(proj, a_window=a_window)
+    pre = check_a_projection(proj)
     bad = [r for r in pre if not r.ok()]
     if bad:
         raise StructuralError(
             "projection rejected: " + ", ".join(r.name for r in bad))
     corner = Corner(ctx.algebra, proj.idem)
-    aw = tuple(M.basis_window(a_window))
+    aw = M.basis_window()
 
     def act(a, ltok):
         return corner.project(ctx.act_vec(FinVec.basis(a), corner.embed(FinVec.basis(ltok))))
@@ -574,7 +541,6 @@ def induce_from_projection(proj: AProjection, a_window=None) -> PartialActionDat
         algebra=corner.algebra,
         act=act,
         e_map=e_map,
-        a_window=aw,
         aux={"context": ctx, "projection": proj, "corner": corner},
     )
 
@@ -584,7 +550,7 @@ def quasi_unitary_witness(P: PartialActionData, elems, a_window=None,
     """Search the acting window for an indicator b with b.x = x and
     (ab).x = a.x for all listed x and windowed a.  Returns (witness or
     None, exhausted flag)."""
-    aw = P.acting_window(a_window)
+    aw = P.instance.basis_window(a_window)
 
     def pred(b):
         for x in elems:
@@ -603,7 +569,7 @@ def check_quasi_unitary(P: PartialActionData, elems, a_window=None,
                         max_candidates=MAX_CANDIDATES) -> CheckResult:
     found = quasi_unitary_witness(P, elems, a_window=a_window, max_candidates=max_candidates)
     return indicator_verdict(
-        "quasi_unitary", P, P.acting_window(a_window), found, max_candidates,
+        "quasi_unitary", P, P.instance.basis_window(a_window), found, max_candidates,
         "subset lattice of the full basis exhausted without witness")
 
 
@@ -630,7 +596,7 @@ def globalize(P: PartialActionData) -> Globalization:
         raise CapabilityError("standard envelope needs a finite acting group")
     if P.algebra.basis is None:
         raise CapabilityError("standard envelope needs a finite target basis")
-    aw = tuple(P.acting_window())
+    aw = P.instance.basis_window()
     env = convolution_algebra(group, P.algebra)
     theta_map = {x: phi_embed(P, FinVec.basis(x)) for x in P.algebra.basis}
 
@@ -652,7 +618,6 @@ def globalize(P: PartialActionData) -> Globalization:
         pi_rule=pi_rule,
         generators=tuple(gens),
         gen_labels=tuple(labels),
-        a_window=aw,
     )
 
 
@@ -707,7 +672,6 @@ def junk_globalization(P: PartialActionData) -> Globalization:
         pi_rule=pi_rule,
         generators=tuple(gens),
         gen_labels=std.gen_labels,
-        a_window=std.a_window,
     )
 
 
@@ -724,7 +688,7 @@ def check_enveloping(G: Globalization, a_window=None) -> list[CheckResult]:
     is not projected per a (`_projection_mismatches`)."""
     P = G.action
     M = P.instance
-    aw = G.acting_window(a_window)
+    aw = M.basis_window(a_window)
     lbasis = P.algebra.basis
     results = []
 
@@ -846,7 +810,7 @@ def check_minimal(G: Globalization, a_window=None) -> CheckResult:
     """pi must detect every nonzero element of each cyclic submodule: if
     pi kills all translates of v, then v = 0, for v a generator or an
     embedded basis element."""
-    aw = G.acting_window(a_window)
+    aw = G.action.instance.basis_window(a_window)
     battery = list(G.generators) + [G.theta_map[x] for x in G.action.algebra.basis]
     witnesses = []
     for v in battery:
@@ -903,8 +867,9 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
                 witnesses.append({"pair": (i, j), "mapped": mapped, "direct": prod2})
     results.append(CheckResult.law("homomorphism", witnesses[:3], pairs=n * n))
 
+    aw = G1.action.instance.basis_window()
     witnesses = []
-    for a in G1.a_window:
+    for a in aw:
         for i in idx:
             moved = G1.act_vec(FinVec.basis(a), G1.generators[i])
             mapped = phi(moved)
@@ -914,7 +879,7 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
             if mapped != G2.act_vec(FinVec.basis(a), G2.generators[i]):
                 witnesses.append({"a": a, "i": i, "mapped": mapped})
     results.append(CheckResult.law(
-        "module_map", witnesses[:3], a_window=len(G1.a_window)))
+        "module_map", witnesses[:3], a_window=len(aw)))
 
     results.append(CheckResult.law(
         "surjective_onto_generators", [], note="generator-to-generator by construction"))

@@ -152,9 +152,7 @@ def _build_action(ctx, entry):
             ctx.get(entry["target"], Algebra),
         )
     if ctor == "from_global":
-        return partial_actions.as_partial(
-            partial_actions.global_AG_on_kG(ctx.get(entry["group"], GroupSpec))
-        )
+        return partial_actions.global_AG_on_kG(ctx.get(entry["group"], GroupSpec))
     if ctor == "to_hopf":
         return group_actions.to_hopf(ctx.get(entry["pga"], group_actions.PartialGroupAction))
     raise ScenarioError(f"unknown action constructor {ctor!r}")
@@ -269,7 +267,7 @@ def _chk_convolutive_inverse(ctx, entry, window, rng):
     inst = ctx.get(entry["target"], mha.MhaInstance)
     candidate = entry.get("candidate", "antipode")
     if candidate == "antipode":
-        f_rule, g_rule = inst.antipode, inst.antipode
+        f_rule, g_rule = inst.antipode, FinVec.basis
     elif candidate == "identity":
         f_rule = g_rule = FinVec.basis
     else:

@@ -149,7 +149,7 @@ def test_noncentral_element_is_still_a_multiplier(S3):
 
 def test_identity_and_scalar_multipliers(C4):
     A = group_algebra_plain(C4)
-    ident = Multiplier.identity(A)
+    ident = Multiplier.scalar(A, 1)
     assert is_central_multiplier(ident) and is_idempotent_multiplier(ident)
     half = Multiplier.scalar(A, F(1, 2))
     assert half.apply_left(FinVec.basis(2)) == FinVec.basis(2, F(1, 2))

@@ -14,18 +14,25 @@ have no cover inside the window.
 
 ``registry_fixtures_S3`` is all passing lines.  It runs the four registry
 entries that no other scenario reaches: the ``lambda`` and ``from_global``
-action constructors (the latter through ``partial_actions.as_partial``),
-the ``conjugation`` group action constructor, and the ``module_algebra``
-check.
+action constructors (the latter a global action, a partial action whose
+e is the counit), the ``conjugation`` group action constructor, and the
+``module_algebra`` check.  ``schema_forms_C4`` is all passing lines too.
+It reaches the scenario-schema forms that no other fixture does: the
+``functions`` algebra constructor, a corner cut by an explicit idempotent
+vector, and a ``[num, den]`` coefficient, in ``convolution`` and
+``module_algebra`` checks over C4.
 
 ``windowed_fN_S3`` pins today's windowed verdicts, including false failures:
 on a partial window the existence and span laws (``e_left_compatibility``,
 ``nondegenerate``, ``right_span``) report ``fail`` on a lawful action.
-ROADMAP item 3 (windows on infinite groups, honest windowed verdicts) is
-expected to rewrite that snapshot.
+``windowed_coaction_trivial`` pins the same kind of false failure on the
+coaction path: ``coaction_trivial`` on a two-token window fails
+``coglobalization.generation``.  ROADMAP item 1 (windows on infinite
+groups, honest windowed verdicts) is expected to rewrite both snapshots.
 
-The snapshots were recorded before the verdict code was routed through
-``CheckResult.law``; a change that alters them must say why.
+Each snapshot was recorded before a rewrite of the code it runs (the
+verdict path ``CheckResult.law``, the acting windows read from the
+instance); a change that alters one must say why.
 """
 
 import pathlib

@@ -80,7 +80,7 @@ class TestEnvelope:
         # the scenario runner, not globalize, owns the precondition: every
         # line of partial_action and symmetric that is not pass is named
         broken = action._replace(
-            e_map=lambda a: Multiplier.identity(action.algebra))
+            e_map=lambda a: Multiplier.scalar(action.algebra, 1))
         want = [f"partial_action:P.{r.name}" for r in check_partial_action(broken)
                 if r.outcome != "pass"]
         want += [f"symmetric:P.{r.name}" for r in check_symmetric(broken)

@@ -27,7 +27,7 @@ from mhopf.homr import (
 )
 from mhopf.mha import instance_for
 from mhopf.partial_actions import globalize
-from mhopf.scenarios import _random_hom_samples
+from mhopf.scenarios import _random_hom_samples, load_scenario, run_scenario
 from mhopf.vectors import FinVec, bilinear, from_grades, grades
 
 F = Fraction
@@ -211,6 +211,24 @@ class TestConvolutiveInverse:
             check_convolutive_inverse(
                 stripped, M.antipode, lambda t: FinVec.basis(t), [M.algebra.basis[0]]
             )
+
+
+@pytest.mark.parametrize("kind, spec", [("A_G", "cyclic:4"), ("kG", "symmetric:3")])
+def test_registry_default_candidate_is_the_antipode(kind, spec):
+    # the registry's default candidate is S against the identity: S * id and
+    # id * S are both the counit, so a lawful instance passes
+    doc = {
+        "schema": 1,
+        "name": f"inverse_{kind}",
+        "seed": 0,
+        "structures": [
+            {"id": "G", "type": "group", "spec": spec},
+            {"id": "M", "type": "instance", "kind": kind, "group": "G"},
+        ],
+        "checks": [{"check": "convolutive_inverse", "target": "M"}],
+    }
+    (line,) = run_scenario(load_scenario(json.dumps(doc))).checks
+    assert (line.outcome, line.witnesses) == ("pass", []), line
 
 
 NOT_FINITE = "does not collapse right multiplications to finite tables"

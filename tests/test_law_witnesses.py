@@ -60,7 +60,7 @@ def collapsed_slice():
     """One acting token sends its own slice onto one target token: an
     idempotent map, so the module law holds, but not a product map."""
     G = s3_envelope()
-    a0, t0 = G.a_window[1], G.action.algebra.basis[0]
+    a0, t0 = G.action.instance.basis_window()[1], G.action.algebra.basis[0]
 
     def act(a, tok):
         if a == a0 and tok[0] == a0:
@@ -74,7 +74,7 @@ def doubled_token_act():
     """One acting token acts twice as strongly: the product laws of both
     handednesses fail, since that token is not the whole coproduct."""
     P = example_fN(symmetric_group(3), alternating_elements(3))
-    a0 = P.acting_window()[1]
+    a0 = P.instance.basis_window()[1]
 
     def act(a, t):
         return P.act(a, t).scale(2) if a == a0 else P.act(a, t)

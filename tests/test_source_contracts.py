@@ -10,7 +10,10 @@ legs of a tensor in one way, `vectors.on_legs`: no `tensor_map` comes back,
 and no `linear(...)` argument rebuilds tokens with `.map_tokens`.  And
 every defaulted parameter of a top-level function or method is passed by
 some call in the package or its tests, so an option that every caller
-leaves at its default, and the branches it keeps alive, do not linger.
+leaves at its default, and the branches it keeps alive, do not linger; and,
+the record twin, every defaulted field of a `NamedTuple` is left at its
+default by some construction, so a default that no record ever takes does
+not pose as optional.
 """
 
 import ast
@@ -213,3 +216,31 @@ def test_every_default_is_passed_somewhere():
         if not any(_passes(c, param, position) for c in calls.get(callee, ()))
     ]
     assert unused == []
+
+
+def _record_defaults():
+    """(label, class name, field, position) of each defaulted field of a
+    top-level `NamedTuple` class."""
+    for module, tree in modules():
+        for top in tree.body:
+            if not (isinstance(top, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "NamedTuple" for b in top.bases)):
+                continue
+            fields = [s for s in top.body if isinstance(s, ast.AnnAssign)]
+            for position, field in enumerate(fields):
+                if field.value is not None:
+                    name = field.target.id
+                    yield f"{module}.{top.name}.{name}", top.name, name, position
+
+
+def test_every_record_default_is_taken_somewhere():
+    """A construction is a call by the class name, matched as in
+    `test_every_default_is_passed_somewhere`; `_replace` copies a record and
+    takes no default."""
+    calls = _calls_by_name()
+    overridden = [
+        label
+        for label, cls, field, position in _record_defaults()
+        if all(_passes(c, field, position) for c in calls.get(cls, ()))
+    ]
+    assert overridden == []
