@@ -11,7 +11,6 @@ from .vectors import FinVec, LinearMapTable, Scalar, tensor, token_key
 from .groups import (
     GroupSpec,
     cyclic_group,
-    group_check,
     integers_group,
     parse_group,
     symmetric_group,

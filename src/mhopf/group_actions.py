@@ -144,6 +144,8 @@ def check_pga(P: PartialGroupAction) -> list:
         dom = P.corners[group.inv(g)]
         for v in dom:
             for w in dom:
+                if len(witnesses) == 5:
+                    break
                 prod = P.algebra.mul(v, w)
                 try:
                     lhs = P.alpha[g](prod)
@@ -152,10 +154,6 @@ def check_pga(P: PartialGroupAction) -> list:
                     continue
                 if lhs != P.algebra.mul(P.alpha[g](v), P.alpha[g](w)):
                     witnesses.append({"g": g, "pair": (v, w)})
-                if len(witnesses) >= 5:
-                    break
-            if len(witnesses) >= 5:
-                break
     results.append(CheckResult.law("alpha_multiplicative", witnesses))
 
     witnesses = []
@@ -179,16 +177,14 @@ def check_pga(P: PartialGroupAction) -> list:
             target = product_basis(h, group.inv(g))
             gh = group.mul(g, h)
             for w in target:
+                if len(witnesses) == 5:
+                    break
                 x = alpha_inverse_image(P, h, w, factored)
                 if x is None:
                     witnesses.append({"g": g, "h": h, "law": "target outside alpha_h image", "target": w})
                     continue
                 if P.alpha[g](P.alpha[h](x)) != P.alpha[gh](x):
                     witnesses.append({"g": g, "h": h, "element": x})
-                if len(witnesses) >= 5:
-                    break
-            if len(witnesses) >= 5:
-                break
     results.append(CheckResult.law("composition", witnesses))
     return results
 
@@ -218,6 +214,8 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
         for h in group.elements:
             ginv, gh = group.inv(g), group.mul(g, h)
             for y in P.corners[g]:
+                if len(witnesses) == 5:
+                    break
                 pre = alpha_inverse_image(P, g, y, factored)
                 if pre is None:
                     raise CapabilityError(
@@ -226,10 +224,6 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
                     )
                 if P.alpha[g](_sigma_product(P, ginv, h, pre)) != _sigma_product(P, g, gh, y):
                     witnesses.append({"g": g, "h": h, "element": y})
-                if len(witnesses) >= 5:
-                    break
-            if len(witnesses) >= 5:
-                break
     results.append(CheckResult.law("sigma_translation", witnesses))
 
     witnesses = []
@@ -277,12 +271,12 @@ def check_globalizability(P: PartialGroupAction) -> list:
             if bad is not None:
                 range_witnesses.append({"g": g, "x": t, "element": bad})
             for y in P.corners[g]:
+                if len(restr_witnesses) == 5:
+                    break
                 pulled = P.alpha[ginv](y)
                 direct = P.alpha[g](P.algebra.mul(pulled, FinVec.basis(t)))
                 if P.algebra.mul(y, gamma) != direct:
                     restr_witnesses.append({"g": g, "x": t, "element": y})
-                if len(restr_witnesses) >= 5:
-                    break
     results.append(CheckResult.law("gamma_range", range_witnesses))
     results.append(CheckResult.law("gamma_restriction", restr_witnesses))
     return results

@@ -13,7 +13,6 @@ import json
 from typing import Callable, NamedTuple, Optional
 
 from .errors import StructuralError
-from .reports import CheckResult
 from .vectors import format_token, once_per_pair, token_key
 
 
@@ -178,55 +177,3 @@ def default_window(group: GroupSpec, size: int) -> tuple:
     if group.name == "integers":
         return tuple(range(-size, size + 1))
     raise StructuralError(f"no default window for group {group.name}")
-
-
-def group_check(group: GroupSpec, window) -> list[CheckResult]:
-    """Exhaustive group laws on a finite window.
-
-    The window must contain the identity and be closed under inversion;
-    associativity is checked on every triple.
-    """
-    window = tuple(window)
-    results = []
-
-    e = group.identity
-    id_witnesses = [
-        {"element": g, "left": group.mul(e, g), "right": group.mul(g, e)}
-        for g in window
-        if group.mul(e, g) != g or group.mul(g, e) != g
-    ]
-    results.append(CheckResult.law("identity_law", id_witnesses, window=len(window)))
-
-    inv_witnesses = []
-    for g in window:
-        gi = group.inv(g)
-        if group.mul(g, gi) != e or group.mul(gi, g) != e:
-            inv_witnesses.append({"element": g, "inverse": gi})
-    results.append(CheckResult.law("inverse_law", inv_witnesses))
-
-    assoc_witnesses = []
-    for a in window:
-        for b in window:
-            ab = group.mul(a, b)
-            for c in window:
-                if group.mul(ab, c) != group.mul(a, group.mul(b, c)):
-                    assoc_witnesses.append({"triple": (a, b, c)})
-                    if len(assoc_witnesses) >= 3:
-                        break
-            if len(assoc_witnesses) >= 3:
-                break
-        if len(assoc_witnesses) >= 3:
-            break
-    results.append(CheckResult.law(
-        "associativity", assoc_witnesses, triples=len(window) ** 3))
-
-    members = set(window)
-    if group.elements is not None and members == set(group.elements):
-        closed = [
-            {"pair": (a, b), "product": group.mul(a, b)}
-            for a in window
-            for b in window
-            if group.mul(a, b) not in members
-        ]
-        results.append(CheckResult.law("closure", closed))
-    return results

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .algebras import Algebra, local_unit
 from .errors import CapabilityError, NoLocalUnitError
-from .mha import MhaInstance
+from .mha import MhaInstance, function_algebra
 from .reports import CheckResult
 from .vectors import (
     FinVec,
@@ -41,10 +41,19 @@ Rule = Callable[[object], FinVec]
 
 def require_tables(M: MhaInstance) -> None:
     """Raise unless the right-multiplier homomorphisms of `M` collapse to
-    finite tables; called wherever a table is built."""
+    finite tables that `conv_mul` may convolve with the group product: the
+    algebra is pointwise and T1 equals that of `function_algebra` on every
+    window pair.  Called wherever a table is built."""
     if not M.algebra.pointwise:
         raise CapabilityError(
             f"{M.name} does not collapse right multiplications to finite tables"
+        )
+    closed = function_algebra(M.algebra.group).delta_r
+    window = M.basis_window()
+    if any(M.delta_r(a, b) != closed(a, b) for a in window for b in window):
+        raise CapabilityError(
+            f"{M.name} does not have its group's Delta: "
+            "tables would convolve with the wrong product"
         )
 
 

@@ -1,20 +1,30 @@
 """Multiplier Hopf algebra instances with covered comultiplication.
 
-The comultiplication never appears bare: every rule produces honest tensors
-after covering by an element, following the two bijective coverage maps
+The comultiplication never appears bare: an instance stores rules on basis
+tokens that produce honest tensors after covering by an element.  Every
+instance stores the two bijective coverage maps
 
     T1: a (x) b  |->  Delta(a)(1 (x) b)        (rule delta_r)
     T2: a (x) b  |->  (a (x) 1) Delta(b)       (rule delta_l)
 
-together with their closed-form inverses t1_inv/t2_inv, the counit, the
-antipode, and (for regular instances) the flipped coverages and the inverse
-antipode.  A covered law composes these rules as leg maps
-(`vectors.on_legs`): coassociativity is (T2 (x) i)(i (x) T1) =
-(i (x) T1)(T2 (x) i) on A (x) A (x) A.  Two families ship in closed
-form: finitely supported functions on a group under pointwise product,
-and the group algebra; a generic windowed-inversion fallback builds
-instances from materialized structure constants for finite unital
-algebras.
+with their inverses t1_inv/t2_inv, the counit and the antipode.  The
+antipode is read off T1: t1_inv(a (x) b) = sum a_1 (x) S(a_2) b.  A
+regular instance also stores the flipped coverages
+
+    delta_r_flip: a (x) b  |->  Delta(a)(b (x) 1)
+    delta_l_flip: a (x) b  |->  (1 (x) a) Delta(b)
+
+the inverse antipode, and cov_Sinv(a (x) b) = sum a_2 (x) S^{-1}(a_1) b,
+which inverts T1 of (A, Delta^cop), a (x) b |-> sum a_2 (x) a_1 b: that is
+delta_r_flip with its legs swapped.  `check_coverage_bijections` checks
+t1_inv and t2_inv; `check_regular` checks the flips, S^{-1} and cov_Sinv.
+
+A covered law composes these rules as leg maps (`vectors.on_legs`):
+coassociativity is (T2 (x) i)(i (x) T1) = (i (x) T1)(T2 (x) i) on
+A (x) A (x) A.  Two families ship in closed form: finitely supported
+functions on a group under pointwise product, and the group algebra; a
+generic windowed-inversion fallback builds instances from materialized
+structure constants for finite unital algebras.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .algebras import Algebra, group_algebra_plain, pointwise_algebra
 from .errors import CapabilityError, StructuralError
 from .groups import GroupSpec
 from .reports import CheckResult
-from .vectors import FinVec, bilinear, linear, on_legs, once_per_pair, tensor, token_key
+from .vectors import FinVec, linear, on_legs, once_per_pair, tensor, token_key
 
 PairRule = Callable[[object, object], FinVec]
 
@@ -45,7 +55,6 @@ class MhaInstance(NamedTuple):
     antipode_inv: Optional[Callable[[object], FinVec]]
     delta_r_flip: Optional[PairRule]
     delta_l_flip: Optional[PairRule]
-    cov_iS: PairRule
     cov_Sinv: Optional[PairRule]
 
     def is_regular(self) -> bool:
@@ -53,6 +62,7 @@ class MhaInstance(NamedTuple):
             self.antipode_inv is not None
             and self.delta_r_flip is not None
             and self.delta_l_flip is not None
+            and self.cov_Sinv is not None
         )
 
     def basis_window(self, window=None):
@@ -68,36 +78,6 @@ class MhaInstance(NamedTuple):
         if self.antipode_inv is None:
             raise CapabilityError(f"{self.name} has no inverse antipode")
         return linear(self.antipode_inv)(x)
-
-
-SWEEDLER_PATTERNS = ("plain_r", "plain_l", "iS", "Sinv")
-
-
-def sweedler_cov(instance: MhaInstance, pattern: str, a, b) -> FinVec:
-    """Covered Sweedler expansions as finite tensors.
-
-    plain_r: Delta(a)(1 (x) b)        plain_l: (a (x) 1) Delta(b)
-    iS:  sum a_1 (x) S(a_2) b         Sinv: sum a_2 (x) S^{-1}(a_1) b
-    """
-    if pattern == "plain_r":
-        rule = instance.delta_r
-    elif pattern == "plain_l":
-        rule = instance.delta_l
-    elif pattern == "iS":
-        rule = instance.cov_iS
-    elif pattern == "Sinv":
-        rule = instance.cov_Sinv
-        if rule is None or not instance.is_regular():
-            raise CapabilityError(
-                f"{instance.name} is not regular: no S^{{-1}} covered expansion"
-            )
-    else:
-        raise StructuralError(f"unknown Sweedler pattern {pattern!r}")
-    if not isinstance(a, FinVec):
-        a = FinVec.basis(a)
-    if not isinstance(b, FinVec):
-        b = FinVec.basis(b)
-    return bilinear(rule)(a, b)
 
 
 def function_algebra(group: GroupSpec) -> MhaInstance:
@@ -116,7 +96,6 @@ def function_algebra(group: GroupSpec) -> MhaInstance:
         antipode_inv=lambda g: FinVec.basis(inv(g)),
         delta_r_flip=lambda r, b: FinVec.basis((b, mul(inv(b), r))),
         delta_l_flip=lambda a, r: FinVec.basis((mul(r, inv(a)), a)),
-        cov_iS=lambda p, q: FinVec.basis((mul(p, q), q)),
         cov_Sinv=lambda p, q: FinVec.basis((mul(q, p), q)),
     )
 
@@ -137,7 +116,6 @@ def group_algebra(group: GroupSpec) -> MhaInstance:
         antipode_inv=lambda g: FinVec.basis(inv(g)),
         delta_r_flip=lambda g, b: FinVec.basis((mul(g, b), g)),
         delta_l_flip=lambda a, g: FinVec.basis((g, mul(a, g))),
-        cov_iS=lambda g, h: FinVec.basis((g, mul(inv(g), h))),
         cov_Sinv=lambda g, h: FinVec.basis((g, mul(inv(g), h))),
     )
 
@@ -192,10 +170,6 @@ def mha_from_delta(
     t1_inv = invert_map(delta_r, "T1")
     t2_inv = invert_map(delta_l, "T2")
 
-    def cov_iS(a, b):
-        bv = FinVec.basis(b)
-        return on_legs(lambda v: tensor(algebra.mul(antipode(v), bv)), deltas[a], 1, 2)
-
     return MhaInstance(
         name=name,
         algebra=algebra,
@@ -208,7 +182,6 @@ def mha_from_delta(
         antipode_inv=None,
         delta_r_flip=delta_r_flip,
         delta_l_flip=delta_l_flip,
-        cov_iS=cov_iS,
         cov_Sinv=None,
     )
 
@@ -352,7 +325,9 @@ def check_coverage_bijections(instance: MhaInstance, window=None) -> CheckResult
 
 
 def check_regular(instance: MhaInstance, window=None) -> CheckResult:
-    """Bijectivity of the flipped coverage maps on the window span plus
+    """Bijectivity of the flipped coverage maps on the window span, cov_Sinv
+    inverting T1cop: a (x) b |-> sum a_2 (x) a_1 b (delta_r_flip with its
+    legs swapped) on both sides at each window pair, and
     S o S^{-1} = id = S^{-1} o S on the window.
 
     Each flipped coverage is factored once as a `spans.Span` of its images
@@ -366,7 +341,7 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
     """
     if not instance.is_regular():
         return CheckResult.law(
-            "regular", [{"missing": "flipped coverages or inverse antipode"}])
+            "regular", [{"missing": "flipped coverages, inverse antipode or cov_Sinv"}])
     window = instance.basis_window(window)
     exhaustive = instance.algebra.is_finite() and set(window) == set(
         instance.algebra.basis
@@ -398,6 +373,13 @@ def check_regular(instance: MhaInstance, window=None) -> CheckResult:
                 (witnesses if exhaustive else unresolved).append(
                     {"map": label, "not_hit": target})
                 break
+    t1cop = lambda a, b: instance.delta_r_flip(a, b).map_tokens(lambda uv: (uv[1], uv[0]))
+    for label, outer, inner in (("cov_Sinv o T1cop", instance.cov_Sinv, t1cop),
+                                ("T1cop o cov_Sinv", t1cop, instance.cov_Sinv)):
+        for a, b in pair_tokens:
+            value = on_legs(outer, inner(a, b), 0, 2)
+            if value != FinVec.basis((a, b)):
+                witnesses.append({"map": label, "pair": (a, b), "value": value})
     for g in window:
         gv = FinVec.basis(g)
         if instance.antipode_inv_vec(instance.antipode(g)) != gv:

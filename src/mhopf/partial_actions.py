@@ -14,6 +14,12 @@ expansions, so all checks are finite exact computations:
     (vi)   (b.x) e(a)    = sum a_2 . (S^{-1}(a_1) b . x)
     (vii)  L e(A) within A.L
 
+Law (ii) reads T1^{-1}, the instance's t1_inv, since T1^{-1}(a (x) b) =
+sum a_1 (x) S(a_2) b; laws (v)-(vii) are (i)-(ii) read through the flipped
+coverage, delta_r_flip and cov_Sinv.  Each law shape is stated once, for
+either side: `_covered_product_failures`, `_compatibility_failures` and
+`_span_failures`.
+
 The action is global exactly when e(a) = eps(a) 1, so a global module
 algebra is a partial action whose e gives counit scalars.  Every battery
 acts through the window of the acting instance, `instance.basis_window`.
@@ -143,6 +149,49 @@ def indicator_verdict(name, P: PartialActionData, ground, found, cap, fail_note)
     return CheckResult.law(name, gap if decided else [], gap, witness=witness)
 
 
+def _covered_product_failures(P: PartialActionData, aw, lw, inner, cover) -> list:
+    """Law (i) or (v) on every (a, b, x, y): a . inner(b, x, y) equals
+    sum (u . x)(w . y) over cover(a, b) = sum u (x) w.  inner does not
+    depend on a: one product per (b, x, y)."""
+    inners = {(b, x, y): inner(b, x, y) for b in aw for x in lw for y in lw}
+    witnesses = []
+    for a in aw:
+        for b in aw:
+            for x in lw:
+                for y in lw:
+                    lhs = P.act_vec(FinVec.basis(a), inners[b, x, y])
+                    rhs = linear(
+                        lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
+                    )(cover(a, b))
+                    if lhs != rhs:
+                        witnesses.append({"a": a, "b": b, "x": x, "y": y,
+                                          "lhs": lhs, "rhs": rhs})
+    return witnesses
+
+
+def _compatibility_failures(P: PartialActionData, a, aw, lw, side, cover):
+    """Law (ii) or (vi) at one acting token a, on every (b, x): e(a)
+    applied on `side` to b . x equals sum u . (w . x) over
+    cover(a, b) = sum u (x) w."""
+    e = P.e_map(a)
+    for b in aw:
+        for x in lw:
+            lhs = side(e, P.act(b, x))
+            rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(cover(a, b))
+            if lhs != rhs:
+                yield {"a": a, "b": b, "x": x, "lhs": lhs, "rhs": rhs}
+
+
+def _span_failures(P: PartialActionData, a, lw, side, action_span):
+    """The span part of law (ii) or law (vii) at one acting token a: e(a)
+    applied on `side` to each basis x lies in A.L."""
+    e = P.e_map(a)
+    for x in lw:
+        img = side(e, FinVec.basis(x))
+        if not action_span.contains(img):
+            yield {"a": a, "x": x, "outside_span": img}
+
+
 def check_partial_action(P: PartialActionData, a_window=None) -> list[CheckResult]:
     """The four defining laws, the multiplier axioms for e, and the
     globality characterization (e = counit exactly when the module laws
@@ -152,39 +201,16 @@ def check_partial_action(P: PartialActionData, a_window=None) -> list[CheckResul
     lw = P.algebra.basis_window()
     results = []
 
-    # x (b . y) does not depend on a: one product per (b, x, y)
-    inner = {(b, x, y): P.algebra.mul(FinVec.basis(x), P.act(b, y))
-             for b in aw for x in lw for y in lw}
-    witnesses = []
-    for a in aw:
-        for b in aw:
-            for x in lw:
-                for y in lw:
-                    lhs = P.act_vec(FinVec.basis(a), inner[b, x, y])
-                    rhs = linear(
-                        lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
-                    )(M.delta_r(a, b))
-                    if lhs != rhs:
-                        witnesses.append({"a": a, "b": b, "x": x, "y": y,
-                                          "lhs": lhs, "rhs": rhs})
+    witnesses = _covered_product_failures(
+        P, aw, lw, lambda b, x, y: P.algebra.mul(FinVec.basis(x), P.act(b, y)), M.delta_r)
     results.append(CheckResult.law(
         "action_product_law", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
     action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
-
     witnesses = []
     for a in aw:
-        for b in aw:
-            for x in lw:
-                lhs = P.e_map(a).apply_left(P.act(b, x))
-                rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(M.cov_iS(a, b))
-                if lhs != rhs:
-                    witnesses.append({"a": a, "b": b, "x": x,
-                                      "lhs": lhs, "rhs": rhs})
-        for x in lw:
-            img = P.e_map(a).apply_left(FinVec.basis(x))
-            if not action_span.contains(img):
-                witnesses.append({"a": a, "x": x, "outside_span": img})
+        witnesses += _compatibility_failures(P, a, aw, lw, Multiplier.apply_left, M.t1_inv)
+        witnesses += _span_failures(P, a, lw, Multiplier.apply_left, action_span)
     results.append(CheckResult.law(
         "e_left_compatibility", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
@@ -261,43 +287,19 @@ def check_symmetric(P: PartialActionData, a_window=None) -> list[CheckResult]:
     lw = P.algebra.basis_window()
     results = []
 
-    # (b . x) y does not depend on a: one product per (b, x, y)
-    inner = {(b, x, y): P.algebra.mul(P.act(b, x), FinVec.basis(y))
-             for b in aw for x in lw for y in lw}
-    witnesses = []
-    for a in aw:
-        for b in aw:
-            for x in lw:
-                for y in lw:
-                    lhs = P.act_vec(FinVec.basis(a), inner[b, x, y])
-                    rhs = linear(
-                        lambda uw: P.algebra.mul(P.act(uw[0], x), P.act(uw[1], y))
-                    )(M.delta_r_flip(a, b))
-                    if lhs != rhs:
-                        witnesses.append({"a": a, "b": b, "x": x, "y": y,
-                                          "lhs": lhs, "rhs": rhs})
+    witnesses = _covered_product_failures(
+        P, aw, lw, lambda b, x, y: P.algebra.mul(P.act(b, x), FinVec.basis(y)), M.delta_r_flip)
     results.append(CheckResult.law(
         "symmetric_product_law", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
-    witnesses = []
-    for a in aw:
-        for b in aw:
-            for x in lw:
-                lhs = P.e_map(a).apply_right(P.act(b, x))
-                rhs = linear(lambda uw: P.act_vec(uw[0], P.act(uw[1], x)))(M.cov_Sinv(a, b))
-                if lhs != rhs:
-                    witnesses.append({"a": a, "b": b, "x": x,
-                                      "lhs": lhs, "rhs": rhs})
+    witnesses = [w for a in aw for w in _compatibility_failures(
+        P, a, aw, lw, Multiplier.apply_right, M.cov_Sinv)]
     results.append(CheckResult.law(
         "e_right_compatibility", witnesses[:3], a_window=len(aw), l_window=len(lw)))
 
     action_span = spans.Span(P.act(a, x) for a in aw for x in lw)
-    witnesses = []
-    for a in aw:
-        for x in lw:
-            img = P.e_map(a).apply_right(FinVec.basis(x))
-            if not action_span.contains(img):
-                witnesses.append({"a": a, "x": x, "outside_span": img})
+    witnesses = [w for a in aw for w in _span_failures(
+        P, a, lw, Multiplier.apply_right, action_span)]
     results.append(CheckResult.law(
         "right_span", witnesses[:3], a_window=len(aw), l_window=len(lw)))
     return results
@@ -532,7 +534,7 @@ def induce_from_projection(proj: AProjection) -> PartialActionData:
             )(bilinear(cover)(FinVec.basis(a), acting_unit(ltok)))
 
         return Multiplier.from_rules(
-            corner.algebra, side(M.cov_iS), side(M.cov_Sinv), window=corner.reps
+            corner.algebra, side(M.t1_inv), side(M.cov_Sinv), window=corner.reps
         )
 
     return PartialActionData(

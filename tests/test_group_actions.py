@@ -146,6 +146,21 @@ class TestMutations:
             build_structure(ctx, entry)
         assert str(exc.value) == "input 'M' rejected: " + ", ".join(want)
 
+    def test_witness_caps_stop_at_the_first_five(self):
+        # two scaled alphas fail at more than one outer g; each law keeps
+        # the five witnesses it finds first
+        C6 = parse_group("cyclic:6")
+        P = subset_translation_pga(C6, C6.elements)
+        bad = mutate_pga(mutate_pga(P, "alpha", g=1), "alpha", g=2)
+        by_name = {r.name: r for r in
+                   check_pga(bad) + check_sigma_conditions(bad) + check_globalizability(bad)}
+        for name in ("alpha_multiplicative", "composition", "sigma_translation",
+                     "gamma_restriction"):
+            assert len(by_name[name].witnesses) <= 5, name
+        assert [w["g"] for w in by_name["alpha_multiplicative"].witnesses] == [1] * 5
+        assert [(w["g"], w["x"]) for w in by_name["gamma_restriction"].witnesses] == [
+            (4, t) for t in range(5)]
+
     def test_noncentral_sigma_detected(self, S3):
         P = conjugation_pga(S3, (1, 0, 2))
         for res in battery(P):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mhopf import cli, homr
-from mhopf.algebras import convolution_algebra, group_algebra_plain
+from mhopf.algebras import convolution_algebra, group_algebra_plain, pointwise_algebra
 from mhopf.errors import CapabilityError
 from mhopf.group_actions import subset_translation_pga, to_hopf
 from mhopf.groups import parse_group
@@ -25,7 +25,7 @@ from mhopf.homr import (
     conv_mul_generic,
     module_act,
 )
-from mhopf.mha import instance_for
+from mhopf.mha import check_mha_axioms, instance_for, mha_from_delta
 from mhopf.partial_actions import globalize
 from mhopf.scenarios import _random_hom_samples, load_scenario, run_scenario
 from mhopf.vectors import FinVec, bilinear, from_grades, grades
@@ -251,6 +251,22 @@ def test_convolution_on_a_kG_source_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert NOT_FINITE in captured.err
+
+
+def test_tables_refuse_an_opposite_comultiplication(S3):
+    # Delta_op(f)(p, q) = f(qp) is lawful on the pointwise algebra, but
+    # conv_mul convolves with the group product, so its tables would fail
+    # conv_paths_agree for the instance's sake
+    def delta_op(g):
+        return FinVec(((u, v), 1) for u in S3.elements for v in S3.elements
+                      if S3.mul(v, u) == g)
+
+    op = mha_from_delta(pointwise_algebra(S3), delta_op,
+                        lambda g: F(int(g == S3.identity)),
+                        lambda g: FinVec.basis(S3.inv(g)), name="A_G_op:S3")
+    assert all(r.outcome == "pass" for r in check_mha_axioms(op))
+    with pytest.raises(CapabilityError, match="wrong product"):
+        _random_hom_samples(random.Random(0), op, group_algebra_plain(S3), 5)
 
 
 def test_globalize_rejects_a_to_hopf_action(C4):

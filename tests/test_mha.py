@@ -25,7 +25,6 @@ from mhopf.mha import (
     instance_for,
     mha_from_delta,
     mutate_instance,
-    sweedler_cov,
 )
 from mhopf.reports import render_value
 from mhopf.spans import Span
@@ -148,9 +147,13 @@ class TestGroupAlgebraRules:
 
 
 class TestSweedlerPatterns:
+    """The two covered Sweedler expansions with an antipode are stored
+    rules: iS, sum a_1 (x) S(a_2) b, is t1_inv, and Sinv,
+    sum a_2 (x) S^{-1}(a_1) b, is cov_Sinv.  Both are expanded here from
+    Delta(delta_p) = sum_{uv=p} d_u (x) d_v."""
+
     def test_iS_pattern_by_brute_force(self, S3, AG_S3):
-        # sum a_1 (x) S(a_2) b with Delta(delta_p) = sum_{uv=p} d_u (x) d_v:
-        # keep the terms where v^{-1} = q.
+        # sum a_1 (x) S(a_2) b: keep the terms where v^{-1} = q.
         for p in S3.elements:
             for q in S3.elements:
                 want = FinVec()
@@ -158,7 +161,7 @@ class TestSweedlerPatterns:
                     for v in S3.elements:
                         if S3.mul(u, v) == p and S3.inv(v) == q:
                             want = want + FinVec.basis((u, q))
-                assert sweedler_cov(AG_S3, "iS", p, q) == want
+                assert AG_S3.t1_inv(p, q) == want
 
     def test_Sinv_pattern_by_brute_force(self, S3, AG_S3):
         # sum a_2 (x) S^{-1}(a_1) b: keep terms where u^{-1} = q.
@@ -169,13 +172,13 @@ class TestSweedlerPatterns:
                     for v in S3.elements:
                         if S3.mul(u, v) == p and S3.inv(u) == q:
                             want = want + FinVec.basis((v, q))
-                assert sweedler_cov(AG_S3, "Sinv", p, q) == want
+                assert AG_S3.cov_Sinv(p, q) == want
 
     def test_closed_forms_on_a_sample(self, S3, AG_S3):
         p = (1, 2, 0)
         q = (1, 0, 2)
-        assert sweedler_cov(AG_S3, "iS", p, q) == FinVec.basis((S3.mul(p, q), q))
-        assert sweedler_cov(AG_S3, "Sinv", p, q) == FinVec.basis((S3.mul(q, p), q))
+        assert AG_S3.t1_inv(p, q) == FinVec.basis((S3.mul(p, q), q))
+        assert AG_S3.cov_Sinv(p, q) == FinVec.basis((S3.mul(q, p), q))
 
 
 class TestAxiomBattery:
@@ -267,7 +270,7 @@ class TestGenericFallback:
         for a in S3.elements:
             for b in S3.elements:
                 for rule in ("delta_r", "delta_l", "t1_inv", "t2_inv", "delta_r_flip",
-                             "delta_l_flip", "cov_iS"):
+                             "delta_l_flip"):
                     assert getattr(generic, rule)(a, b) == getattr(AG_S3, rule)(a, b), rule
         assert generic.t1_inv((0, 1, 2), (1, 2, 0)) == FinVec.basis(((1, 2, 0), (1, 2, 0)))
         assert generic.t2_inv((1, 0, 2), (1, 2, 0)) == FinVec.basis(((1, 0, 2), (0, 2, 1)))
@@ -331,10 +334,25 @@ class TestRegularOnPartialWindows:
         res = check_regular(bad, 3)
         assert res.outcome == "fail"
         e, t, s = (0, 1, 2), (0, 2, 1), (1, 0, 2)
+        # cov_Sinv no longer inverts the swapped flip either
         assert res.witnesses == [
             {"map": "flip_r", "kernel": FinVec({(e, t): -1, (t, e): 1})},
             {"map": "flip_r", "kernel": FinVec({(e, s): -1, (s, e): 1})},
+            {"map": "cov_Sinv o T1cop", "pair": (e, e), "value": FinVec({(e, e): 2})},
+            {"map": "cov_Sinv o T1cop", "pair": (e, t),
+             "value": FinVec({(e, t): 1, (t, t): 1})},
+            {"map": "cov_Sinv o T1cop", "pair": (e, s),
+             "value": FinVec({(e, s): 1, (s, s): 1})},
         ]
+
+
+def test_wrong_cov_Sinv_fails_regular(AG_S3):
+    # t1_inv in place of cov_Sinv: every other axiom still passes
+    bad = AG_S3._replace(cov_Sinv=AG_S3.t1_inv)
+    outcomes = {r.name: r for r in check_mha_axioms(bad)}
+    assert [n for n, r in outcomes.items() if r.outcome != "pass"] == ["regular"]
+    assert len(outcomes["regular"].witnesses) == 5
+    assert {w["map"] for w in outcomes["regular"].witnesses} == {"cov_Sinv o T1cop"}
 
 
 def test_check_regular_passes_on_S5():

@@ -3,11 +3,12 @@
 Four things are kept honest here.  The functions that may leave a law
 `inconclusive` are an allowlist, and README names each of them, so a new
 source of `inconclusive` (a budget, say) cannot slip in unannounced.  And
-every top-level `def` and `class` has a caller inside the package, an
-export in `mhopf/__init__.py`, or a named home on the ROADMAP, so code that
-nothing reaches fails here instead of lingering.  And a rule is applied to
-legs of a tensor in one way, `vectors.on_legs`: no `tensor_map` comes back,
-and no `linear(...)` argument rebuilds tokens with `.map_tokens`.  And
+every top-level `def` and `class` has a caller inside the package or a
+named home on the ROADMAP, so code that nothing reaches fails here instead
+of lingering; an export in `mhopf/__init__.py` is not a caller.  And a
+rule is applied to legs of a tensor in one way, `vectors.on_legs`: no
+`tensor_map` comes back, and no `linear(...)` argument rebuilds tokens
+with `.map_tokens`.  And
 every defaulted parameter of a top-level function or method is passed by
 some call in the package or its tests, so an option that every caller
 leaves at its default, and the branches it keeps alive, do not linger; and,
@@ -41,7 +42,6 @@ ROADMAP_HOMES = {
     "central_idempotent_projection": "item 7",
     "induce_from_projection": "item 7",
     "mha_from_delta": "item 9",
-    "sweedler_cov": "item 9",
     "check_associative": "item 11",
 }
 
@@ -100,7 +100,8 @@ def _used_names(node):
 
 def definitions_and_uses():
     """{top-level name: module} and every name used outside its own
-    definition, counting the imports of `mhopf/__init__.py` as uses."""
+    definition.  An import is not a use, so a re-export in
+    `mhopf/__init__.py` keeps nothing alive."""
     defined = {}
     used = set()
     for module, tree in modules():
@@ -108,8 +109,6 @@ def definitions_and_uses():
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 defined.setdefault(top.name, module)
                 used.update(n for n in _used_names(top) if n != top.name)
-            elif isinstance(top, ast.ImportFrom) and module == "__init__":
-                used.update(alias.name for alias in top.names)
             else:
                 used.update(_used_names(top))
     return defined, used
