@@ -6,9 +6,11 @@ Local units replace the missing unit: for pointwise function algebras they
 are support-union indicators in closed form, for finite structure-constant
 algebras they are found by exact linear solving.
 
-Multipliers are pairs (U, V) of linear operators with U(a)b = aV(b),
-U(ab) = U(a)b, V(ab) = aV(b); they represent elements of the multiplier
-algebra M(A) on a declared validity window.
+A multiplier, an element of the multiplier algebra M(A), is a record of
+two tables on one validity window: U ('multiply from the left') and V
+('from the right'), each mapping a window token to its image, with
+U(a)b = aV(b), U(ab) = U(a)b, V(ab) = aV(b).  A window token's image is
+read from its table; only a vector that may leave the window is applied.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from .groups import GroupSpec
 from .reports import CheckResult
 from .vectors import (
     FinVec,
-    LinearMapTable,
     bilinear,
+    format_token,
     from_grades,
     graded_mul,
     lincomb,
+    linear,
     once_per_pair,
     tensor,
     token_key,
@@ -207,12 +210,12 @@ def local_unit(algebra: Algebra, elems) -> FinVec:
         stacked(lambda x, b=b: algebra.mul(b, x), lambda x, b=b: algebra.mul(x, b))
         for b in map(FinVec.basis, basis)
     )
-    sol = columns.coords(stacked(lambda x: x, lambda x: x))
+    sol = columns.coords(stacked(lambda x: x, lambda x: x), basis)
     if sol is None:
         raise NoLocalUnitError(
             f"no local unit in span of window for {len(elems)} elements"
         )
-    return FinVec(zip(basis, sol))
+    return sol
 
 
 def check_nondegenerate(algebra: Algebra, window=None) -> CheckResult:
@@ -251,71 +254,64 @@ def check_s_unital_left(algebra: Algebra, window=None, elems=None) -> CheckResul
         "s_unital_left", witnesses, window=len(window), elems=len(elems))
 
 
-class Multiplier:
-    """Pair (U, V) of operator tables on a validity window: U is 'multiply
-    from the left', V 'from the right'."""
+class Multiplier(NamedTuple):
+    """An element of M(A) as its two tables on one validity window: `left`
+    maps each window token b to U(b) ('multiply from the left'), `right`
+    to V(b) ('from the right')."""
 
-    __slots__ = ("algebra", "left", "right", "window")
+    algebra: Algebra
+    left: dict
+    right: dict
 
-    def __init__(self, algebra: Algebra, left: LinearMapTable, right: LinearMapTable):
-        if left.window != right.window:
-            raise StructuralError("multiplier operator windows differ")
-        self.algebra = algebra
-        self.left = left
-        self.right = right
-        self.window = left.window
-
-    @staticmethod
-    def from_element(algebra: Algebra, z: FinVec) -> "Multiplier":
-        window = algebra.basis_window()
-        left = LinearMapTable(
-            {b: algebra.mul(z, FinVec.basis(b)) for b in window}, window
-        )
-        right = LinearMapTable(
-            {b: algebra.mul(FinVec.basis(b), z) for b in window}, window
-        )
-        return Multiplier(algebra, left, right)
+    @property
+    def window(self):
+        return self.left.keys()
 
     @staticmethod
     def from_rules(algebra: Algebra, left_rule, right_rule, window) -> "Multiplier":
-        window = tuple(window)
-        left = LinearMapTable({b: left_rule(b) for b in window}, window)
-        right = LinearMapTable({b: right_rule(b) for b in window}, window)
-        return Multiplier(algebra, left, right)
+        return Multiplier(
+            algebra, {b: left_rule(b) for b in window}, {b: right_rule(b) for b in window})
 
     @staticmethod
     def scalar(algebra: Algebra, coeff) -> "Multiplier":
-        window = algebra.basis_window()
-        table = LinearMapTable(
-            {b: FinVec.basis(b, coeff) for b in window}, window
-        )
+        table = {b: FinVec.basis(b, coeff) for b in algebra.basis_window()}
         return Multiplier(algebra, table, table)
 
     def apply_left(self, vec: FinVec) -> FinVec:
-        return self.left.apply(vec)
+        return _apply_table(self.left, vec)
 
     def apply_right(self, vec: FinVec) -> FinVec:
-        return self.right.apply(vec)
+        return _apply_table(self.right, vec)
+
+
+def _apply_table(table: dict, vec: FinVec) -> FinVec:
+    """The linear extension of a multiplier table; a token outside its
+    window raises WindowError, there is no silent extension by zero."""
+    outside = [tok for tok, _ in vec.items() if tok not in table]
+    if outside:
+        tok = min(outside, key=token_key)
+        raise WindowError(f"token {format_token(tok)} outside window")
+    return linear(table.__getitem__)(vec)
 
 
 def multiplier_check(m: Multiplier, window=None) -> CheckResult:
     """Compatibility laws V(a)b = aU(b), U(ab) = U(a)b, V(ab) = aV(b) on
-    basis pairs of the window."""
+    basis pairs of the window, read off the tables; the first five
+    failures in checking order are the witnesses."""
     algebra = m.algebra
     window = tuple(window) if window is not None else tuple(
         sorted(m.window, key=token_key)
     )
-    outside = [t for t in window if t not in m.window]
+    outside = [t for t in window if t not in m.left]
     if outside:
         raise WindowError(f"tokens outside multiplier window: {outside[:3]}")
     witnesses = []
     for a in window:
         av = FinVec.basis(a)
-        ua = m.apply_left(av)
-        va = m.apply_right(av)
+        ua, va = m.left[a], m.right[a]
         for b in window:
             bv = FinVec.basis(b)
-            if algebra.mul(va, bv) != algebra.mul(av, m.apply_left(bv)):
+            if algebra.mul(va, bv) != algebra.mul(av, m.left[b]):
                 witnesses.append({"law": "V(a)b = aU(b)", "pair": (a, b)})
             ab = algebra.mul(av, bv)
             try:
@@ -325,32 +321,27 @@ def multiplier_check(m: Multiplier, window=None) -> CheckResult:
                 continue
             if uab != algebra.mul(ua, bv):
                 witnesses.append({"law": "U(ab)=U(a)b", "pair": (a, b)})
-            if vab != algebra.mul(av, m.apply_right(bv)):
+            if vab != algebra.mul(av, m.right[b]):
                 witnesses.append({"law": "V(ab)=aV(b)", "pair": (a, b)})
             if len(witnesses) >= 5:
-                return CheckResult.law("multiplier_compat", witnesses)
-    return CheckResult.law("multiplier_compat", witnesses, window=len(window))
+                return CheckResult.law("multiplier_compat", witnesses[:5])
+    return CheckResult.law("multiplier_compat", witnesses[:5], window=len(window))
 
 
 def is_central_multiplier(m: Multiplier) -> bool:
-    """Central in M(A): left and right actions agree on every token of the
-    multiplier's window (given compat laws)."""
-    return all(
-        m.apply_left(FinVec.basis(b)) == m.apply_right(FinVec.basis(b))
-        for b in m.window
-    )
+    """Central in M(A): the left and right tables agree (given compat
+    laws)."""
+    return m.left == m.right
 
 
 def is_idempotent_multiplier(m: Multiplier) -> bool:
-    """m m = m in M(A): applying m twice to each window token gives what
-    applying it once gives, on both sides."""
-    for b in m.window:
-        bv = FinVec.basis(b)
-        for side in (m.apply_left, m.apply_right):
-            once = side(bv)
-            if side(once) != once:
-                return False
-    return True
+    """m m = m in M(A): applying m to each entry of a table gives the
+    entry back, on both sides."""
+    return all(
+        side(table[b]) == table[b]
+        for b in m.window
+        for table, side in ((m.left, m.apply_left), (m.right, m.apply_right))
+    )
 
 
 class Corner:
@@ -404,10 +395,10 @@ class Corner:
     def project(self, vec: FinVec) -> FinVec:
         """Ambient element -> corner coordinates of f*vec."""
         target = self.ambient.mul(self.idem, vec)
-        coeffs = self._span.coords(target)
+        coeffs = self._span.coords(target, self.ambient.basis)
         if coeffs is None:
             raise StructuralError("projected element escaped the corner span")
-        return FinVec(zip(self.ambient.basis, coeffs))
+        return coeffs
 
 
 def subgroup_average_idempotent(group_alg: Algebra, subgroup) -> FinVec:

@@ -135,13 +135,9 @@ def trivial_coaction(target: Algebra, instance: MhaInstance, e: FinVec) -> Parti
 def mutate_coaction(C: PartialCoactionData, kind: str) -> PartialCoactionData:
     """Deliberately broken variants used as negative controls."""
     if kind == "e_scale":
-        def left(tok):
-            return C.E.apply_left(FinVec.basis(tok)).scale(2)
-
-        def right(tok):
-            return C.E.apply_right(FinVec.basis(tok)).scale(2)
-
-        bad = Multiplier.from_rules(C.E.algebra, left, right, C.E.window)
+        bad = C.E._replace(
+            left={t: v.scale(2) for t, v in C.E.left.items()},
+            right={t: v.scale(2) for t, v in C.E.right.items()})
         return C._replace(name=f"{C.name}#e_scale", E=bad)
     if kind == "rho_drop":
         first = C.target_basis()[0]
@@ -572,12 +568,12 @@ def check_coglobalization(G: CoactionGlobalization, window=None):
         inner = _pi_tensor(G, com.rho_r_vec(v, G.e))
         terms = []
         for w, comp in _components(inner).items():
-            coords = theta_span.coords(comp)
+            coords = theta_span.coords(comp, lbasis)
             if coords is None:
                 eproj_wit.append({"basis_index": i, "reason": "projection left theta(L)"})
                 break
             # Phi(E)(theta(z) (x) w) = (theta (x) 1)(E (z (x) w))
-            ez = C.E.apply_left(tensor(FinVec(zip(lbasis, coords)), FinVec.basis(w)))
+            ez = C.E.apply_left(tensor(coords, FinVec.basis(w)))
             terms.append((on_legs(theta_leg, ez, 0, 1), 1))
         else:
             if lhs != lincomb(terms):

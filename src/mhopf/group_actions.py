@@ -47,9 +47,9 @@ class PartialGroupAction(NamedTuple):
 
 
 def sigma_image_basis(algebra: Algebra, m: Multiplier) -> tuple:
-    """Basis of m(R), computed from the left action on the algebra basis."""
+    """Basis of m(R), read from the left table on the algebra basis."""
     window = algebra.basis_window(None)
-    return tuple(spans.span_basis([m.apply_left(FinVec.basis(t)) for t in window]))
+    return tuple(spans.span_basis([m.left[t] for t in window]))
 
 
 def make_pga(name, group: GroupSpec, algebra: Algebra, sigma, alpha) -> PartialGroupAction:
@@ -87,10 +87,10 @@ def alpha_inverse_image(P: PartialGroupAction, g, target: FinVec, factored: dict
     span = factored.get(g)
     if span is None:
         span = factored[g] = spans.Span(P.alpha[g](v) for v in dom)
-    coeffs = span.coords(target)
+    coeffs = span.coords(target, range(len(dom)))
     if coeffs is None:
         return None
-    return lincomb(zip(dom, coeffs))
+    return lincomb((dom[i], c) for i, c in coeffs.items())
 
 
 def gamma_element(P: PartialGroupAction, g, x: FinVec) -> FinVec:
@@ -236,7 +236,7 @@ def check_sigma_conditions(P: PartialGroupAction) -> list:
 
     witnesses = []
     for g in group.elements:
-        shifted = [P.sigma[g].apply_right(FinVec.basis(t)) for t in window]
+        shifted = [P.sigma[g].right[t] for t in window]
         bad = spans.subspace_le(shifted, list(P.corners[g]))
         if bad is not None:
             witnesses.append({"g": g, "element": bad})
@@ -317,10 +317,7 @@ def to_group(Q) -> PartialGroupAction:
         if not is_idempotent_multiplier(m):
             raise StructuralError(f"range multiplier at {g} is not idempotent")
         if not is_central_multiplier(m):
-            bad_tok = next(
-                t for t in window
-                if m.apply_left(FinVec.basis(t)) != m.apply_right(FinVec.basis(t))
-            )
+            bad_tok = next(t for t in window if m.left[t] != m.right[t])
             raise StructuralError(f"range multiplier at {g} not central, witness {bad_tok}")
         sigma[g] = m
 
@@ -347,11 +344,9 @@ def roundtrip_check(P: PartialGroupAction) -> list:
 
     witnesses = []
     for g in group.elements:
+        p, q = P.sigma[g], Q.sigma[g]
         for t in window:
-            v = FinVec.basis(t)
-            if P.sigma[g].apply_left(v) != Q.sigma[g].apply_left(v) or P.sigma[
-                g
-            ].apply_right(v) != Q.sigma[g].apply_right(v):
+            if p.left[t] != q.left[t] or p.right[t] != q.right[t]:
                 witnesses.append({"g": g, "token": t})
     results.append(CheckResult.law("sigma_match", witnesses))
 
@@ -397,8 +392,12 @@ def subset_translation_pga(group: GroupSpec, subset) -> PartialGroupAction:
     alpha = {}
     for g in group.elements:
         ginv = group.inv(g)
-        overlap = [x for x in X if group.mul(ginv, x) in xset]
-        sigma[g] = Multiplier.from_element(algebra, FinVec((x, 1) for x in overlap))
+        overlap = frozenset(x for x in X if group.mul(ginv, x) in xset)
+
+        def indicator(b, overlap=overlap):
+            return FinVec.basis(b) if b in overlap else FinVec()
+
+        sigma[g] = Multiplier.from_rules(algebra, indicator, indicator, X)
         dom = frozenset(x for x in X if group.mul(g, x) in xset)
 
         def alpha_g(vec, g=g, dom=dom):

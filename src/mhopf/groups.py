@@ -26,11 +26,6 @@ class GroupSpec(NamedTuple):
     def is_finite(self) -> bool:
         return self.elements is not None
 
-    def order(self) -> int:
-        if self.elements is None:
-            raise StructuralError(f"group {self.name} is not enumerated")
-        return len(self.elements)
-
 
 def cyclic_group(n: int) -> GroupSpec:
     if n < 1:

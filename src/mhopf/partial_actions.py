@@ -248,11 +248,7 @@ def check_partial_action(P: PartialActionData, a_window=None) -> list[CheckResul
     def is_counit_multiplier(a):
         m = P.e_map(a)
         c = M.counit(a)
-        for t in lw:
-            v = FinVec.basis(t)
-            if m.apply_left(v) != v.scale(c) or m.apply_right(v) != v.scale(c):
-                return False
-        return True
+        return all(m.left[t] == m.right[t] == FinVec.basis(t, c) for t in lw)
 
     e_is_counit = all(is_counit_multiplier(a) for a in aw)
     module_law = True
@@ -851,10 +847,10 @@ def compare_envelopes(G1: Globalization, G2: Globalization) -> list[CheckResult]
     generators1 = spans.Span(G1.generators)
 
     def phi(v: FinVec):
-        coeffs = generators1.coords(v)
+        coeffs = generators1.coords(v, idx)
         if coeffs is None:
             return None
-        return via2(FinVec(zip(idx, coeffs)))
+        return via2(coeffs)
 
     witnesses = []
     for i in idx:

@@ -3,9 +3,11 @@
 `Span` factors a list of vectors once, as a sparse reduced echelon form
 kept on the vectors' own tokens, and then answers membership, coordinates,
 rank and kernel by reduction against its rows.  Every such question goes
-through it.  The one dense helper is `span_basis`: it lays the vectors out
-as a matrix in `token_key` order and returns the canonical reduced echelon
-rows from one `linalg.rref` call.  It stays where those rows are seen, as
+through it.  Coordinates and kernel relations answer as vectors over a
+domain that the caller names, one token per added vector.  The one dense
+helper is `span_basis`: it lays the vectors out as a matrix in `token_key`
+order and returns the canonical reduced echelon rows from one
+`linalg.rref` call.  It stays where those rows are seen, as
 corner and subcomodule bases in reports or as the basis a map is read on.
 """
 
@@ -143,21 +145,21 @@ class Span:
     def contains(self, vec: FinVec) -> bool:
         return not self._reduce(vec)[0]
 
-    def coords(self, vec: FinVec):
-        """Coefficients over the added vectors summing to vec, or None.
+    def coords(self, vec: FinVec, domain: Sequence):
+        """The combination of the added vectors that sums to vec, as a
+        vector over `domain` (domain[i] names the i-th added vector), or
+        None when vec is outside the span.
 
         Dependent vectors get 0: the particular solution of a dense
-        elimination over the same list, free columns set to 0.  The
-        coefficients are Fractions even when integral, since they can reach
-        a report, where an int would render as a JSON number."""
+        elimination over the same list, free columns set to 0.  Only the
+        rows that reduced vec are summed."""
         res, used = self._reduce(vec)
         if res:
             return None
-        out = [Fraction(0)] * self._count
+        out = {}
         for c, (_, combo) in used:
-            for i, x in combo.items():
-                out[i] += c * x
-        return out
+            axpy(out, c, combo)
+        return FinVec((domain[i], c) for i, c in out.items())
 
     def kernel(self, domain: Sequence) -> list[FinVec]:
         """One relation per dependent vector, with domain[i] naming the

@@ -36,8 +36,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import WindowError
-
 Token = object
 Scalar = int | Fraction
 
@@ -347,30 +345,3 @@ def on_legs(rule: Callable[..., FinVec], x: FinVec, start: int, stop: int) -> Fi
         out = rule(*tok[start:stop])._c
         axpy(acc, c, {head + t + tail: v for t, v in out.items()})
     return FinVec._of(acc)
-
-
-class LinearMapTable:
-    """Linear map given by images of basis tokens, valid only on its window.
-
-    Applying the map to a vector supported outside the window raises
-    WindowError; there is no silent extension by zero.
-    """
-
-    __slots__ = ("table", "window")
-
-    def __init__(self, table: dict, window: Iterable | None = None):
-        self.table = dict(table)
-        self.window = frozenset(self.table if window is None else window)
-        missing = [tok for tok in self.window if tok not in self.table]
-        for tok in missing:
-            self.table[tok] = FinVec()
-
-    def apply(self, vec: FinVec) -> FinVec:
-        outside = [tok for tok in vec._c if tok not in self.window]
-        if outside:
-            tok = min(outside, key=token_key)
-            raise WindowError(f"token {format_token(tok)} outside window")
-        return linear(self.table.__getitem__)(vec)
-
-    def __call__(self, vec: FinVec) -> FinVec:
-        return self.apply(vec)

@@ -20,7 +20,7 @@ from mhopf.algebras import (
     subgroup_average_idempotent,
     tensor_square_algebra,
 )
-from mhopf.errors import NoLocalUnitError, StructuralError
+from mhopf.errors import NoLocalUnitError, StructuralError, WindowError
 from mhopf.groups import alternating_elements, cyclic_group, subgroup_elements
 from mhopf.vectors import FinVec
 
@@ -127,12 +127,49 @@ def test_nondegenerate_and_s_unital(S3):
     assert not check_s_unital_left(zero_prod).ok()
 
 
-def test_multiplier_from_element_satisfies_compat_laws(S3):
+def element_multiplier(A, z):
+    """Multiplication by the element z of A, on the whole basis."""
+    return Multiplier.from_rules(
+        A, lambda b: A.mul(z, FinVec.basis(b)), lambda b: A.mul(FinVec.basis(b), z), A.basis)
+
+
+def test_element_multiplier_satisfies_compat_laws(S3):
     A = group_algebra_plain(S3)
     z = FinVec.basis((1, 0, 2)) + FinVec.basis((1, 2, 0), F(3))
-    m = Multiplier.from_element(A, z)
+    m = element_multiplier(A, z)
     assert multiplier_check(m).ok()
+    assert m.left[S3.identity] == z
     assert m.apply_left(FinVec.basis(S3.identity)) == z
+
+
+def test_multiplier_applies_and_guards_window():
+    A = struct_const_algebra("ab", ("a", "b"), {})
+    swap = {"a": FinVec.basis("b"), "b": FinVec.basis("a", F(2))}
+    m = Multiplier(A, swap, swap)
+    assert m.apply_left(FinVec({"a": F(1), "b": F(1)})) == FinVec({"a": F(2), "b": F(1)})
+    with pytest.raises(WindowError, match="token missing outside window"):
+        m.apply_right(FinVec.basis("missing"))
+    # an in-window token first does not let a later one outside through
+    narrow = Multiplier.from_rules(A, FinVec.basis, FinVec.basis, ("a",))
+    assert list(narrow.window) == ["a"]
+    with pytest.raises(WindowError, match="token b outside window"):
+        narrow.apply_left(FinVec([("a", 1), ("b", 1)]))
+
+
+def test_multiplier_check_keeps_its_first_five_witnesses():
+    """One pair can break all three laws; the cap still keeps exactly the
+    first five failures in checking order."""
+    C3 = cyclic_group(3)
+    A = group_algebra_plain(C3)
+    scale, shift = (3, 3, 2), (0, 2, 1)
+    m = Multiplier.from_rules(
+        A, lambda b: FinVec.basis(C3.mul(b, shift[b]), scale[b]),
+        lambda b: FinVec.basis(b, scale[b]), A.basis)
+    result = multiplier_check(m)
+    assert [(w["law"], w["pair"]) for w in result.witnesses] == [
+        ("V(a)b = aU(b)", (0, 1)), ("U(ab)=U(a)b", (0, 1)),
+        ("V(a)b = aU(b)", (0, 2)), ("U(ab)=U(a)b", (0, 2)),
+        ("V(a)b = aU(b)", (1, 1))]
 
 
 def test_noncentral_element_is_still_a_multiplier(S3):
@@ -140,7 +177,7 @@ def test_noncentral_element_is_still_a_multiplier(S3):
     # one-sided reading (m.a)b == a(b.m) wrongly rejects this element
     A = group_algebra_plain(S3)
     p = (FinVec.basis(S3.identity) + FinVec.basis((1, 0, 2))).scale(F(1, 2))
-    m = Multiplier.from_element(A, p)
+    m = element_multiplier(A, p)
     assert A.mul(p, p) == p
     assert multiplier_check(m).ok()
     assert is_idempotent_multiplier(m)

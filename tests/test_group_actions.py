@@ -167,7 +167,9 @@ class TestMutations:
             assert res.outcome == "pass", (res.name, res.witnesses)
         kS3 = P.algebra
         p = (FinVec.basis(S3.identity) + FinVec.basis((1, 0, 2))).scale(F(1, 2))
-        noncentral = Multiplier.from_element(kS3, p)
+        noncentral = Multiplier.from_rules(
+            kS3, lambda b: kS3.mul(p, FinVec.basis(b)), lambda b: kS3.mul(FinVec.basis(b), p),
+            kS3.basis)
         bad = mutate_pga(P, "sigma", g=1, multiplier=noncentral)
         results = check_sigma_conditions(bad)
         by_name = {r.name: r for r in results}

@@ -2,8 +2,9 @@
 asked of `spans.Span` in matrix terms.
 
 A matrix A is laid out for a Span by columns: column j is the vector
-{i: A[i][j]}.  Then `coords(b)` solves A x = b, `kernel(range(n))` is a
-basis of the nullspace, and the rank of the rows is the Span's rank.
+{i: A[i][j]}.  Then `coords(b, range(n))` solves A x = b,
+`kernel(range(n))` is a basis of the nullspace, and the rank of the rows
+is the Span's rank.
 """
 
 from fractions import Fraction
@@ -33,7 +34,9 @@ def columns(rows, ncols):
 
 
 def solve(rows, rhs, ncols):
-    return Span(columns(rows, ncols)).coords(vector(rhs))
+    """The solution x of A x = b as a dense list, or None."""
+    x = Span(columns(rows, ncols)).coords(vector(rhs), range(ncols))
+    return None if x is None else [x[j] for j in range(ncols)]
 
 
 def nullspace(rows, ncols):
@@ -85,7 +88,7 @@ def test_solve_exact_and_inconsistent():
 
 def test_solve_empty_system():
     assert solve([], [], 0) == []
-    assert Span().coords(vector([F(1)])) is None
+    assert Span().coords(vector([F(1)]), []) is None
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -101,7 +104,7 @@ def test_solve_verifies_by_substitution(rows, xvec):
 @given(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=1, max_size=4), st.lists(entries, min_size=1, max_size=4))
 def test_solve_is_none_exactly_outside_the_column_span(rows, rhs):
     cols = columns(rows, 3)
-    got = Span(cols).coords(vector(rhs))
+    got = solve(rows, rhs, 3)
     outside = Span(cols + [vector(rhs)]).rank > Span(cols).rank
     assert (got is None) == outside
     if got is not None:

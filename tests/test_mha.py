@@ -20,6 +20,7 @@ from mhopf.errors import StructuralError
 from mhopf.groups import parse_group, symmetric_group
 from mhopf.mha import (
     check_counit_homomorphism,
+    check_coverage_bijections,
     check_mha_axioms,
     check_regular,
     instance_for,
@@ -374,11 +375,23 @@ def test_scalars_reaching_reports_stay_fractions(S3, kind):
         assert type(inst.counit(g)) is F
         assert type(inst.counit_vec(FinVec.basis(g))) is F
     assert type(inst.counit_vec(FinVec())) is F
-    coords = Span([FinVec.basis(e)]).coords(FinVec.basis(e, 2))
-    assert coords == [2] and type(coords[0]) is F
+    # coordinates reach a report only inside a vector, whose rendering is
+    # the same for an int and an integral Fraction
+    coords = Span([FinVec.basis(e)]).coords(FinVec.basis(e, F(2)), ["g"])
+    assert coords == FinVec.basis("g", 2) and render_value(coords) == "2*g"
 
     result = check_counit_homomorphism(mutate_instance(inst, "counit"))
     first = json.dumps(result.to_dict()["witnesses"][0], sort_keys=True)
     assert first == '{"eps(a)eps(b)": "4", "eps(ab)": "2", "pair": [[0, 1, 2], [0, 1, 2]]}'
     witness = {"pair": (e, e), "eps(ab)": inst.counit_vec(FinVec.basis(e)), "count": 2}
     assert render_value(witness) == {"count": 2, "eps(ab)": "1", "pair": [[0, 1, 2], [0, 1, 2]]}
+
+
+def test_coverage_bijections_keeps_its_first_four_witnesses():
+    """One pair can fail all four compositions; the cap still keeps
+    exactly the first four failures in checking order."""
+    broken = mutate_instance(instance_for("A_G", parse_group("cyclic:4")), "delta")
+    result = check_coverage_bijections(broken)
+    assert [(w["map"], w["pair"]) for w in result.witnesses] == [
+        ("t1_inv o T1", (0, 1)), ("T1 o t1_inv", (0, 1)),
+        ("T1 o t1_inv", (0, 2)), ("t1_inv o T1", (0, 3))]

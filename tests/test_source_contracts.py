@@ -5,7 +5,8 @@ Four things are kept honest here.  The functions that may leave a law
 source of `inconclusive` (a budget, say) cannot slip in unannounced.  And
 every top-level `def` and `class` has a caller inside the package or a
 named home on the ROADMAP, so code that nothing reaches fails here instead
-of lingering; an export in `mhopf/__init__.py` is not a caller.  And a
+of lingering; an export in `mhopf/__init__.py` is not a caller; the
+method twin asks the same of every method of a top-level class.  And a
 rule is applied to legs of a tensor in one way, `vectors.on_legs`: no
 `tensor_map` comes back, and no `linear(...)` argument rebuilds tokens
 with `.map_tokens`.  And
@@ -120,6 +121,27 @@ def test_every_top_level_definition_is_reached():
         f"{module}.{name}" for name, module in defined.items()
         if name not in used and name not in ROADMAP_HOMES)
     assert unreached == []
+
+
+def unreached_methods():
+    """Every non-dunder method of a top-level class whose name is used
+    nowhere in the package outside its own definition."""
+    uses = {}
+    methods = []
+    for module, tree in modules():
+        for name in _used_names(tree):
+            uses[name] = uses.get(name, 0) + 1
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                methods += [(f"{module}.{top.name}.{fn.name}", fn) for fn in top.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")]
+    return sorted(
+        label for label, fn in methods
+        if uses.get(fn.name, 0) == sum(1 for n in _used_names(fn) if n == fn.name))
+
+
+def test_every_method_is_reached():
+    assert unreached_methods() == []
 
 
 def test_roadmap_homes_are_defined_and_unreached():

@@ -59,18 +59,16 @@ def layout(vecs):
 
 
 def in_span(target, vecs):
-    """One augmented elimination: coefficients with free columns 0, or None."""
+    """One augmented elimination: coefficients over the positions in the
+    list with free columns 0, or None."""
     n = len(vecs)
     rows = layout(list(vecs) + [target])
     if not rows:
-        return [F(0)] * n
+        return FinVec()
     red, pivots = linalg.rref(rows)
     if n in pivots:
         return None
-    coeffs = [F(0)] * n
-    for r, c in enumerate(pivots):
-        coeffs[c] = red[r][n]
-    return coeffs
+    return FinVec((c, red[r][n]) for r, c in enumerate(pivots))
 
 
 def span_dim(vecs):
@@ -109,7 +107,7 @@ SETTINGS = settings(deadline=None, derandomize=True, max_examples=100)
 @given(lists_and_targets())
 def test_coords_equal_in_span(case):
     vecs, target = case
-    assert spans.Span(vecs).coords(target) == in_span(target, vecs)
+    assert spans.Span(vecs).coords(target, range(len(vecs))) == in_span(target, vecs)
 
 
 @SETTINGS
@@ -117,7 +115,7 @@ def test_coords_equal_in_span(case):
 def test_contains_iff_coords(case):
     vecs, target = case
     span = spans.Span(vecs)
-    assert span.contains(target) == (span.coords(target) is not None)
+    assert span.contains(target) == (span.coords(target, range(len(vecs))) is not None)
 
 
 @SETTINGS
@@ -177,8 +175,8 @@ def test_occurrence_index_names_exactly_the_rows_nonzero_at_each_token(vecs):
 def test_empty_span():
     span = spans.Span()
     assert span.rank == 0
-    assert span.coords(FinVec()) == []
-    assert span.coords(FinVec.basis(0)) is None
+    assert span.coords(FinVec(), []) == FinVec()
+    assert span.coords(FinVec.basis(0), []) is None
     assert span.kernel([]) == []
 
 
@@ -187,10 +185,11 @@ def test_coords_and_kernel_by_hand():
     w = FinVec({0: 3, 1: 1})  # = 2u + v
     span = spans.Span([u, FinVec(), v, w])
     assert span.rank == 2
-    assert span.coords(FinVec.basis(0)) == [F(1, 2), F(0), F(1, 2), F(0)]
-    assert span.coords(u) == [F(1), F(0), F(0), F(0)]
-    assert span.coords(FinVec.basis(2)) is None
-    assert span.kernel(["p", "z", "v", "w"]) == [
+    names = ["p", "z", "v", "w"]
+    assert span.coords(FinVec.basis(0), names) == FinVec({"p": F(1, 2), "v": F(1, 2)})
+    assert span.coords(u, names) == FinVec.basis("p")
+    assert span.coords(FinVec.basis(2), names) is None
+    assert span.kernel(names) == [
         FinVec.basis("z"),
         FinVec({"p": -2, "v": -1, "w": 1}),
     ]
@@ -205,8 +204,7 @@ def test_subspace_le_names_the_first_vector_outside():
 
 # Mixed scalars: integral coefficients are ints, the others Fractions.  A
 # Span over such vectors answers exactly as over the same vectors holding
-# only Fractions, stores no float and no zero, and hands out coordinates
-# as Fractions (they reach reports, where an int would render differently).
+# only Fractions, and stores and hands out no float and no zero.
 
 
 def as_fractions(v: FinVec) -> FinVec:
@@ -231,12 +229,12 @@ def mixed_lists_and_targets(draw):
 def test_mixed_scalars_answer_as_all_fractions(case):
     vecs, target = case
     span, ref = spans.Span(vecs), spans.Span(as_fractions(v) for v in vecs)
-    for t in (target, vec_sum(vecs)):
-        coords = span.coords(t)
-        assert coords == ref.coords(as_fractions(t))
-        assert coords is None or all(type(c) is F for c in coords)
-        assert span.contains(t) == ref.contains(as_fractions(t))
     domain = list(range(len(vecs)))
+    for t in (target, vec_sum(vecs)):
+        coords = span.coords(t, domain)
+        assert coords == ref.coords(as_fractions(t), domain)
+        assert coords is None or exact_nonzero(c for _, c in coords.items())
+        assert span.contains(t) == ref.contains(as_fractions(t))
     kernel = span.kernel(domain)
     assert kernel == ref.kernel(domain)
     basis = spans.span_basis(vecs)
@@ -247,8 +245,10 @@ def test_mixed_scalars_answer_as_all_fractions(case):
         assert exact_nonzero(row.values()) and exact_nonzero(combo.values())
 
 
-def test_coords_are_fractions_over_integral_vectors():
-    span = spans.Span([FinVec({0: 2, 1: 2}), FinVec.basis(1, 3)])
-    coords = span.coords(FinVec({0: 1, 1: 4}))
-    assert coords == [F(1, 2), F(1)]
-    assert all(type(c) is F for c in coords)
+def test_coords_over_integral_vectors():
+    """Coordinates name the added vectors by the caller's domain, and an
+    added vector that the reduction does not use gets no entry."""
+    span = spans.Span([FinVec({0: 2, 1: 2}), FinVec.basis(1, 3), FinVec.basis(2)])
+    coords = span.coords(FinVec({0: 1, 1: 4}), "xyz")
+    assert coords == FinVec({"x": F(1, 2), "y": 1})
+    assert exact_nonzero(c for _, c in coords.items())

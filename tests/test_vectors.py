@@ -14,7 +14,6 @@ from mhopf.groups import symmetric_group
 from mhopf.mha import instance_for, mha_from_delta
 from mhopf.vectors import (
     FinVec,
-    LinearMapTable,
     as_scalar,
     axpy,
     bilinear,
@@ -301,22 +300,6 @@ def test_once_per_pair_stores_nothing_when_the_rule_raises():
         assert info.value.__context__ is None
     assert cached("a", "ok") == FinVec.basis(("a", "ok"))
     assert stub.calls == [("a", "bad"), ("a", "bad"), ("a", "ok")]
-
-
-def test_linear_map_table_applies_and_guards_window():
-    table = LinearMapTable({"a": FinVec.basis("b"), "b": FinVec.basis("a", Fraction(2))})
-    assert table(FinVec({"a": Fraction(1), "b": Fraction(1)})) == FinVec(
-        {"a": Fraction(2), "b": Fraction(1)}
-    )
-    with pytest.raises(WindowError):
-        table(FinVec.basis("missing"))
-    # an in-window token first does not let a later one outside through,
-    # even when the table has an image for it
-    narrow = LinearMapTable(
-        {"a": FinVec.basis("b"), "b": FinVec.basis("a")}, window=("a",)
-    )
-    with pytest.raises(WindowError, match="token b outside window"):
-        narrow(FinVec([("a", 1), ("b", 1)]))
 
 
 # Mixed scalars: integral coefficients are stored as int, the others as
